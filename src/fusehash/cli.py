@@ -25,7 +25,7 @@ from .bench import (
 )
 from .centers import audit_centers, build_center_table
 from .encoding import FailedBatch, QueryBatch, encode_stream
-from .evaluation import format_report, hamming_rank, mean_average_precision, report_key_values
+from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
 from .exceptions import (
     CorruptFileError,
     FusehashError,
@@ -265,12 +265,10 @@ def cmd_query(args) -> int:
     top = min(args.top, db.shape[1])
     if args.top < 1:
         raise InvalidParameterError(f"--top must be positive, got {args.top}")
-    for i in range(queries.shape[1]):
-        ranking = hamming_rank(queries[:, i], db)
-        for rank in range(top):
-            index = int(ranking.ranked_indices[rank])
-            distance = int(ranking.distances[rank])
-            print(f"query={i} rank={rank + 1} index={index} distance={distance}")
+    for start, order, distances in _rank_blocks(queries, db):
+        for i, (row_order, row_distances) in enumerate(zip(order, distances), start):
+            for rank, index in enumerate(row_order[:top], 1):
+                print(f"query={i} rank={rank} index={index} distance={row_distances[index]}")
     return 0
 
 

@@ -3,6 +3,16 @@
 Distances are computed on packed bits with XOR + popcount, so they are
 exact integers. Ranking ties are broken by ascending database index, which
 makes every reported number reproducible bit for bit.
+
+``hamming_rank``, ``mean_average_precision`` and the ``query`` command share
+one kernel: it packs both sides once and ranks queries in blocks of
+``RANK_BLOCK``. Inside the kernel, distances are held in the narrowest
+unsigned dtype that holds the code length r (uint8 for r <= 255, uint16 up
+to 65535) and ordered by a stable argsort along each row, which numpy runs
+as a radix sort for these dtypes. A stable sort keeps ties in ascending
+index order, so the ranking is the one int64 distances would give; public
+results still carry int64 distances. Evaluation memory is
+O(RANK_BLOCK * n_db) for distances, order and relevance, not O(n_q * n_db).
 """
 
 from __future__ import annotations
@@ -12,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidParameterError, LabelError, ShapeError
-from .packing import pack_codes, packed_hamming
+from .packing import pack_codes
+
+# Queries ranked together by the kernel; bounds eval memory per block.
+RANK_BLOCK = 64
 
 
 @dataclass
@@ -35,21 +48,39 @@ class EvalReport:
 def hamming_rank(query, database) -> RankedRetrieval:
     """Rank database columns by Hamming distance from the query code."""
     query_code = np.asarray(query).reshape(-1)
-    db = np.asarray(database)
-    if db.ndim != 2 or db.shape[0] != query_code.shape[0]:
-        raise ShapeError(
-            f"query length {query_code.shape[0]} does not match database "
-            f"shape {db.shape}"
-        )
-    packed_query = pack_codes(query_code.reshape(-1, 1))[:, 0]
-    packed_db = pack_codes(db)
-    distances = packed_hamming(packed_query, packed_db)
-    order = np.argsort(distances, kind="stable")
+    _, order, distances = next(_rank_blocks(query_code.reshape(-1, 1), database))
     return RankedRetrieval(
         query_code=query_code.astype(np.int8),
-        ranked_indices=order,
-        distances=distances[order],
+        ranked_indices=order[0],
+        distances=distances[0, order[0]].astype(np.int64),
     )
+
+
+def _rank_blocks(query_codes, db_codes):
+    """Rank the database for consecutive blocks of at most RANK_BLOCK queries.
+
+    Packs the ``(r, n_q)`` query codes and the ``(r, n_db)`` database codes
+    once, then yields ``(start, order, distances)`` per block of b queries:
+    ``order`` is the ``(b, n_db)`` stable ranking of queries ``start`` to
+    ``start + b - 1``, and ``distances`` their ``(b, n_db)`` narrow-dtype
+    distances in database order.
+    """
+    q = np.asarray(query_codes)
+    db = np.asarray(db_codes)
+    if q.ndim != 2 or db.ndim != 2 or q.shape[0] != db.shape[0]:
+        raise ShapeError(
+            f"query codes {q.shape} and database codes {db.shape} disagree "
+            "on code length"
+        )
+    packed_q = pack_codes(q)
+    packed_db = pack_codes(db)
+    dtype = np.min_scalar_type(q.shape[0])
+    for start in range(0, packed_q.shape[1], RANK_BLOCK):
+        block = packed_q[:, start : start + RANK_BLOCK]
+        distances = np.zeros((block.shape[1], packed_db.shape[1]), dtype=dtype)
+        for q_bytes, db_bytes in zip(block, packed_db):
+            distances += np.bitwise_count(np.bitwise_xor.outer(q_bytes, db_bytes))
+        yield start, np.argsort(distances, axis=1, kind="stable"), distances
 
 
 def average_precision(relevance, cutoff: int) -> float:
@@ -85,11 +116,12 @@ def precision_at_k(relevance, k: int) -> float:
     return float(rel[:k].sum() / k)
 
 
-def _label_matrix(label_sets, num_labels: int) -> np.ndarray:
-    mat = np.zeros((num_labels, len(label_sets)), dtype=np.float64)
-    for i, labels in enumerate(label_sets):
-        for label in labels:
-            mat[label, i] = 1.0
+def _label_matrix(label_sets, label_ids: np.ndarray) -> np.ndarray:
+    """0/1 matrix whose row k marks the sets that hold ``label_ids[k]``."""
+    rows = np.searchsorted(label_ids, [label for labels in label_sets for label in labels])
+    cols = np.repeat(np.arange(len(label_sets)), [len(labels) for labels in label_sets])
+    mat = np.zeros((label_ids.shape[0], len(label_sets)), dtype=np.float64)
+    mat[rows, cols] = 1.0
     return mat
 
 
@@ -103,7 +135,9 @@ def mean_average_precision(
     """mAP of a query set against a code database.
 
     A database item counts as relevant when its label set intersects the
-    query's. The cutoff defaults to the full database size.
+    query's. The cutoff defaults to the full database size. Label ids are
+    compacted to their sorted distinct values, so their magnitude costs no
+    memory, and relevance is built for one block of queries at a time.
     """
     q = np.asarray(query_codes)
     db = np.asarray(db_codes)
@@ -132,18 +166,16 @@ def mean_average_precision(
     all_labels += [label for labels in db_labels for label in labels]
     if any(label < 0 for label in all_labels):
         raise LabelError("labels must be non-negative integers")
-    num_labels = max(all_labels, default=0) + 1
-    query_mat = _label_matrix(query_labels, num_labels)
-    db_mat = _label_matrix(db_labels, num_labels)
-    relevant = (query_mat.T @ db_mat) > 0  # (n_q, n_db) label-intersection test
+    label_ids = np.unique(np.asarray(all_labels, dtype=np.int64))
+    query_mat = _label_matrix(query_labels, label_ids)
+    db_mat = _label_matrix(db_labels, label_ids)
 
-    packed_q = pack_codes(q)
-    packed_db = pack_codes(db)
     per_query = np.empty(num_queries)
-    for i in range(num_queries):
-        distances = packed_hamming(packed_q[:, i], packed_db)
-        order = np.argsort(distances, kind="stable")
-        per_query[i] = average_precision(relevant[i, order], cutoff)
+    for start, order, _ in _rank_blocks(q, db):
+        stop = start + order.shape[0]
+        relevant = (query_mat[:, start:stop].T @ db_mat) > 0  # label-intersection test
+        for i, (row, row_order) in enumerate(zip(relevant, order), start):
+            per_query[i] = average_precision(row[row_order], cutoff)
     return EvalReport(
         map=float(per_query.mean()),
         per_query_ap=per_query,

@@ -4,10 +4,13 @@ Every AMFH file is magic ``b"AMFH"``, a u8 kind tag, a u16 format version,
 a kind-specific little-endian payload, and a trailing CRC-32 over all
 preceding bytes. Loads verify magic, kind, version, and checksum before
 touching the payload, so a truncated or mangled file is rejected whole.
+Writes go through a temporary file that replaces the target only once it
+is complete, so an interrupted write never clobbers an existing file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -65,9 +68,19 @@ class _Cursor:
 
 
 def _write_file(path, kind: int, payload: bytes) -> None:
+    """Write an AMFH file through a flushed temporary file renamed over ``path``."""
     blob = MAGIC + _HEADER.pack(kind, FORMAT_VERSION) + payload
     blob += _CRC.pack(zlib.crc32(blob) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as file:
+            file.write(blob)
+            file.flush()
+            os.fsync(file.fileno())
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _checked_payload(blob: bytes, kind: int, path) -> bytes:

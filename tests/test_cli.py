@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fusehash import load_centers, load_codes, load_model
+from fusehash import load_centers, load_codes, load_model, store_codes
 from fusehash.cli import main
+from fusehash.evaluation import RANK_BLOCK
 
 
 def run(argv, capsys):
@@ -213,6 +214,28 @@ class TestQuery:
             values = parse_kv_line(line)
             if values["rank"] == "1":
                 assert values["distance"] == "0"
+
+
+    @pytest.mark.parametrize("top", [4, 15])
+    def test_output_matches_per_query_ranking(self, tmp_path, capsys, top):
+        """Blocks of queries print what ranking each query alone prints, ties included."""
+        rng = np.random.default_rng(12)
+        db = np.where(rng.random((3, 10)) < 0.5, 1, -1).astype(np.int8)  # 8 codes, 10 items: ties
+        queries = np.where(rng.random((3, RANK_BLOCK + 6)) < 0.5, 1, -1).astype(np.int8)
+        store_codes(db, tmp_path / "db.amfh")
+        store_codes(queries, tmp_path / "queries.amfh")
+        code, stdout, _ = run([
+            "query", "--db", str(tmp_path / "db.amfh"),
+            "--queries", str(tmp_path / "queries.amfh"), "--top", str(top),
+        ], capsys)
+        assert code == 0
+        expected = []
+        for i in range(queries.shape[1]):
+            distances = (db != queries[:, i : i + 1]).sum(axis=0)
+            order = sorted(range(10), key=lambda j: (distances[j], j))
+            for rank, index in enumerate(order[:top], 1):
+                expected.append(f"query={i} rank={rank} index={index} distance={distances[index]}\n")
+        assert stdout == "".join(expected)
 
 
 class TestEval:

@@ -1,7 +1,11 @@
 """Retrieval evaluation: ranking, average precision, mAP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusehash import (
     average_precision,
@@ -10,12 +14,23 @@ from fusehash import (
     precision_at_k,
     sign_to_pm1,
 )
-from fusehash.evaluation import format_report, report_key_values
+from fusehash.evaluation import RANK_BLOCK, _rank_blocks, format_report, report_key_values
 from fusehash.exceptions import InvalidParameterError, LabelError, ShapeError
 
 
 def naive_hamming(a, b):
     return int(np.sum(np.asarray(a) != np.asarray(b)))
+
+
+def naive_ranking(query, db):
+    """Reference ranking: int8 mismatch counts, then a stable argsort."""
+    distances = (np.asarray(db, dtype=np.int8) != np.asarray(query, dtype=np.int8)[:, None]).sum(axis=0)
+    order = np.argsort(distances, kind="stable")
+    return order, distances[order]
+
+
+def random_codes(rng, code_length, count):
+    return np.where(rng.random((code_length, count)) < 0.5, 1, -1).astype(np.int8)
 
 
 def naive_average_precision(relevance, cutoff):
@@ -68,6 +83,43 @@ class TestHammingRank:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ShapeError):
             hamming_rank(np.ones(4, dtype=np.int8), np.ones((5, 3), dtype=np.int8))
+
+    def test_distances_above_255_do_not_wrap(self):
+        """All +1 against all -1 at r=300 is distance 300, not 300 mod 256."""
+        query = np.ones(300, dtype=np.int8)
+        db = np.stack([-query, query], axis=1)
+        ranked = hamming_rank(query, db)
+        np.testing.assert_array_equal(ranked.ranked_indices, [1, 0])
+        np.testing.assert_array_equal(ranked.distances, [0, 300])
+        assert ranked.distances.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        code_length=st.sampled_from([1, 8, 64, 255, 256, 300]),
+        num_queries=st.integers(1, RANK_BLOCK + 1),
+        num_db=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_ranking_matches_naive(self, code_length, num_queries, num_db, seed):
+        """Every block's order and distances equal the int8 reference, ties included."""
+        rng = np.random.default_rng(seed)
+        pool = random_codes(rng, code_length, max(1, num_db // 3))
+        db = pool[:, rng.integers(0, pool.shape[1], num_db)]  # repeated columns tie
+        queries = random_codes(rng, code_length, num_queries)
+        seen = 0
+        for start, order, distances in _rank_blocks(queries, db):
+            assert start == seen and order.shape[0] <= RANK_BLOCK
+            for row, (row_order, row_distances) in enumerate(zip(order, distances)):
+                expected_order, expected_distances = naive_ranking(queries[:, start + row], db)
+                np.testing.assert_array_equal(row_order, expected_order)
+                np.testing.assert_array_equal(row_distances[row_order], expected_distances)
+            seen += order.shape[0]
+        assert seen == num_queries
+        if num_db:
+            single = hamming_rank(queries[:, 0], db)
+            expected_order, expected_distances = naive_ranking(queries[:, 0], db)
+            np.testing.assert_array_equal(single.ranked_indices, expected_order)
+            np.testing.assert_array_equal(single.distances, expected_distances)
 
 
 class TestAveragePrecision:
@@ -189,6 +241,46 @@ class TestMeanAveragePrecision:
             mean_average_precision(code, [{0}, {1}], code, [{0}])
         with pytest.raises(ShapeError):
             mean_average_precision(np.ones((6, 1), dtype=np.int8), [{0}], code, [{0}])
+
+    @pytest.mark.parametrize("num_queries", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(code_length=st.sampled_from([8, 64, 300]), seed=st.integers(0, 2**32 - 1))
+    def test_per_query_ap_does_not_depend_on_blocks(self, num_queries, code_length, seed):
+        """Query counts around the block size give each query its lone-query AP."""
+        rng = np.random.default_rng(seed)
+        db = random_codes(rng, code_length, 30)
+        db_labels = [{int(rng.integers(0, 3))} for _ in range(30)]
+        queries = random_codes(rng, code_length, num_queries)
+        query_labels = [{int(rng.integers(0, 3))} for _ in range(num_queries)]
+        report = mean_average_precision(queries, query_labels, db, db_labels)
+        for i in range(num_queries):
+            alone = mean_average_precision(queries[:, i : i + 1], query_labels[i : i + 1], db, db_labels)
+            assert report.per_query_ap[i] == alone.per_query_ap[0]
+            order, _ = naive_ranking(queries[:, i], db)
+            relevance = [bool(db_labels[j] & query_labels[i]) for j in order]
+            assert abs(report.per_query_ap[i] - naive_average_precision(relevance, 30)) < 1e-12
+
+    def test_large_label_ids_are_compacted(self):
+        """Ids {10**9, 7} score as {1, 0} and allocate nothing sized by the id."""
+        rng = np.random.default_rng(11)
+        db = random_codes(rng, 16, 40)
+        queries = random_codes(rng, 16, 6)
+        small = [{0}, {1}, {0, 1}]
+        db_labels = [small[j % 3] for j in range(40)]
+        query_labels = [small[q % 3] for q in range(6)]
+        relabel = {0: 7, 1: 10**9}
+        big_db = [{relabel[x] for x in labels} for labels in db_labels]
+        big_query = [{relabel[x] for x in labels} for labels in query_labels]
+        expected = mean_average_precision(queries, query_labels, db, db_labels)
+        tracemalloc.start()
+        try:
+            report = mean_average_precision(queries, big_query, db, big_db)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(report.per_query_ap, expected.per_query_ap)
+        assert report.map == expected.map
+        assert peak < 1 << 20
 
     def test_rejects_negative_labels(self):
         code = np.ones((8, 1), dtype=np.int8)

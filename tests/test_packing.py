@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusehash import pack_codes, packed_hamming, sign_to_pm1, unpack_codes
 from fusehash.exceptions import InvalidParameterError, ShapeError
@@ -25,6 +27,15 @@ class TestSignToPm1:
         assert sign_to_pm1(np.zeros((3, 4))).dtype == np.int8
 
 
+@st.composite
+def sign_codes(draw):
+    """A random (r, n) code matrix over {-1, +1}, r in 1..300 and n in 0..50."""
+    r = draw(st.integers(1, 300))
+    n = draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.where(rng.random((r, n)) < 0.5, 1, -1).astype(np.int8)
+
+
 class TestPackUnpack:
     def test_lsb_first_byte_value(self):
         """A column (+1, -1, ..., -1) at r=8 packs to the single byte 0x01."""
@@ -40,6 +51,19 @@ class TestPackUnpack:
             packed = pack_codes(codes)
             assert packed.shape == ((code_length + 7) // 8, 5)
             np.testing.assert_array_equal(unpack_codes(packed, code_length), codes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign_codes())
+    def test_matches_packbits_along_code_axis(self, codes):
+        expected = np.packbits(codes > 0, axis=0, bitorder="little")
+        packed = pack_codes(codes)
+        assert packed.dtype == np.uint8
+        np.testing.assert_array_equal(packed, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign_codes())
+    def test_unpack_inverts_pack(self, codes):
+        np.testing.assert_array_equal(unpack_codes(pack_codes(codes), codes.shape[0]), codes)
 
     def test_rejects_non_sign_entries(self):
         with pytest.raises(InvalidParameterError):

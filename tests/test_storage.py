@@ -1,7 +1,11 @@
 """Binary file formats, CSV fallback, bundle directories."""
 
+import io
+
 import numpy as np
 import pytest
+
+from fusehash import storage
 
 from fusehash import (
     build_center_table,
@@ -68,6 +72,24 @@ class TestFeatureFiles:
         store_codes(np.ones((8, 2), dtype=np.int8), path)
         with pytest.raises(CorruptFileError, match="kind"):
             load_features(path)
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A write that fails halfway leaves the old file loadable and no temp file."""
+
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+        path = tmp_path / "feats.amfh"
+        previous = np.arange(12.0).reshape(3, 4)
+        store_features(previous, path)
+        monkeypatch.setattr(storage, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            store_features(np.ones((5, 5)), path)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(load_features(path), previous)  # CRC checked on load
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_csv_fallback_transposes_rows_to_columns(self, tmp_path):
         path = tmp_path / "feats.csv"
