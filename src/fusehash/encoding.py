@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import EmptyBatchError, InvalidParameterError, ShapeError
 from .kernel import apply_kernel
 from .packing import sign_to_pm1
-from .training import RESIDUAL_FLOOR, TrainedModel
+from .training import TrainedModel, update_weights
 
 ENCODE_MODES = ("adaptive", "fixed")
 
@@ -133,14 +133,10 @@ def encode_adaptive(
             codes = new_codes
             break
         codes = new_codes
-        norms = np.array(
-            [
-                max(float(np.linalg.norm(codes - projected[m])), RESIDUAL_FLOOR)
-                for m in present
-            ]
-        )
         new_weights = np.zeros(model.num_modalities)
-        new_weights[present] = norms / norms.sum()
+        new_weights[present] = update_weights(
+            [float(np.linalg.norm(codes - projected[m])) for m in present]
+        )
         value = _batch_objective(present, projected, codes, new_weights)
         trace.append(value)
         if np.array_equal(new_weights, weights):

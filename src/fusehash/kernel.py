@@ -9,6 +9,7 @@ anchors drawn from the training columns of the same modality, giving a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -21,12 +22,22 @@ MAX_WIDTH_PAIRS = 2000
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Anchors of one modality plus the Gaussian width used with them."""
+    """Anchors of one modality plus the Gaussian width used with them.
+
+    Treat ``anchors`` as read-only: their squared norms are cached on first
+    use, outside the dataclass fields, so they are neither stored nor
+    compared.
+    """
 
     anchors: np.ndarray  # (d, p), columns are anchor points
     kernel_width: float  # > 0
     modality_index: int = 0
     seed: int = 0
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """``||a_j||^2`` per anchor, shape (p, 1)."""
+        return (self.anchors * self.anchors).sum(axis=0)[:, None]
 
 
 def select_anchors(
@@ -86,7 +97,12 @@ def _mean_anchor_distance(anchors, rng) -> float:
 
 
 def apply_kernel(features, anchor_set: AnchorSet) -> np.ndarray:
-    """Gaussian kernel map: entry (j, i) = exp(-||x_i - a_j||^2 / (2 sigma^2))."""
+    """Gaussian kernel map: entry (j, i) = exp(-||x_i - a_j||^2 / (2 sigma^2)).
+
+    The squared distances ``||a||^2 - 2 a.x + ||x||^2`` are built and
+    exponentiated inside the single (p, n) product array, so the map
+    allocates one array of its output's size.
+    """
     feats = np.asarray(features, dtype=np.float64)
     anchors = anchor_set.anchors
     if feats.ndim != 2 or feats.shape[0] != anchors.shape[0]:
@@ -98,10 +114,11 @@ def apply_kernel(features, anchor_set: AnchorSet) -> np.ndarray:
         raise InvalidParameterError(
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
         )
-    sq = (
-        (anchors * anchors).sum(axis=0)[:, None]
-        - 2.0 * (anchors.T @ feats)
-        + (feats * feats).sum(axis=0)[None, :]
-    )
+    feat_norms = (feats * feats).sum(axis=0)[None, :]
+    sq = anchors.T @ feats
+    sq *= -2.0
+    sq += anchor_set.squared_norms
+    sq += feat_norms
     np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
-    return np.exp(-sq / (2.0 * anchor_set.kernel_width**2))
+    sq /= -(2.0 * anchor_set.kernel_width**2)
+    return np.exp(sq, out=sq)

@@ -80,14 +80,22 @@ def objective(projections, weights, kernel_features, targets, delta) -> float:
     ``sum_m (1/w_m) ||T - W_m K_m||_F^2 + delta * sum_m ||W_m||_F^2`` with
     targets ``T``, kernel features ``K_m``, and weights ``w``.
     """
+    t = np.asarray(targets, dtype=np.float64)
+    squared_residuals = []
+    for proj, feats in zip(projections, kernel_features):
+        resid = t - proj @ feats
+        squared_residuals.append((resid * resid).sum())
+    return _objective_value(squared_residuals, projections, weights, delta)
+
+
+def _objective_value(squared_residuals, projections, weights, delta) -> float:
+    """The objective from each modality's ``||T - W_m K_m||_F^2``."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w == 0):
         raise DegenerateWeightError("weights must be nonzero")
-    t = np.asarray(targets, dtype=np.float64)
     total = 0.0
-    for proj, weight, feats in zip(projections, w, kernel_features):
-        resid = t - proj @ feats
-        total += (resid * resid).sum() / weight + delta * (proj * proj).sum()
+    for squared, weight, proj in zip(squared_residuals, w, projections):
+        total += squared / weight + delta * (proj * proj).sum()
     return float(total)
 
 
@@ -108,12 +116,17 @@ def update_projection(targets, kernel_features, weight: float, delta: float) -> 
         raise ShapeError(
             f"targets {t.shape} and kernel features {feats.shape} disagree on samples"
         )
-    p = feats.shape[0]
-    gram = (feats @ feats.T) / weight
-    gram.flat[:: p + 1] += delta
-    rhs = (t @ feats.T) / weight
+    return _ridge_solve(feats @ feats.T, t @ feats.T, weight, delta)
+
+
+def _ridge_solve(gram, cross, weight: float, delta: float) -> np.ndarray:
+    """``W`` solving ``W (G/w + delta I) = B/w`` for ``G = K K^T``, ``B = T K^T``."""
+    p = gram.shape[0]
+    system = gram / weight
+    system.flat[:: p + 1] += delta
+    rhs = cross / weight
     try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
+        factor = cho_factor(system, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError("ridge system is not positive definite") from exc
     return cho_solve(factor, rhs.T, check_finite=False).T
@@ -137,7 +150,9 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     each iteration refits every projection, rebalances the weights, and
     appends the objective to the trace. Stops when the relative objective
     change drops below ``config.rel_tol`` or after ``config.max_iters``
-    iterations. Deterministic for fixed inputs and seeds.
+    iterations. Deterministic for fixed inputs and seeds. Raises
+    :class:`NumericalError` naming the modality when a training feature is
+    NaN or infinite.
     """
     config = TrainConfig() if config is None else config
     config.validate()
@@ -150,6 +165,9 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     counts = {mat.shape[1] for mat in mats}
     if len(counts) != 1:
         raise ShapeError(f"modalities disagree on sample count: {sorted(counts)}")
+    for m, mat in enumerate(mats):
+        if not np.isfinite(mat).all():
+            raise NumericalError(f"modality {m} has non-finite training features")
     n = counts.pop()
     if n < 2:
         raise InvalidParameterError(f"need at least 2 training samples, got {n}")
@@ -172,6 +190,11 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         apply_kernel(mats[m], anchor_sets[m]) for m in range(len(mats))
     ]
 
+    # K_m is fixed during training, so its Gram statistics are computed once;
+    # each iteration then costs one Cholesky and one residual per modality.
+    grams = [feats @ feats.T for feats in kernel_features]
+    crosses = [targets @ feats.T for feats in kernel_features]
+
     num_modalities = len(mats)
     weights = np.full(num_modalities, 1.0 / num_modalities)
     trace: list[float] = []
@@ -179,15 +202,17 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     projections: list[np.ndarray] = []
     for _ in range(config.max_iters):
         projections = [
-            update_projection(targets, kernel_features[m], weights[m], config.delta)
+            _ridge_solve(grams[m], crosses[m], weights[m], config.delta)
             for m in range(num_modalities)
         ]
-        norms = [
-            float(np.linalg.norm(targets - projections[m] @ kernel_features[m]))
-            for m in range(num_modalities)
-        ]
+        norms = []
+        squared_residuals = []
+        for proj, feats in zip(projections, kernel_features):
+            resid = targets - proj @ feats
+            norms.append(float(np.linalg.norm(resid)))
+            squared_residuals.append((resid * resid).sum())
         weights = update_weights(norms)
-        value = objective(projections, weights, kernel_features, targets, config.delta)
+        value = _objective_value(squared_residuals, projections, weights, config.delta)
         if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
             trace.append(value)
             converged = True

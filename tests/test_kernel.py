@@ -1,10 +1,29 @@
 """Anchor selection and the Gaussian kernel map."""
 
+import dataclasses
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusehash import AnchorSet, apply_kernel, select_anchors
+from fusehash import AnchorSet, apply_kernel, load_model, select_anchors, store_model
 from fusehash.exceptions import InvalidParameterError, ShapeError
+
+
+def three_temporary_kernel(features, anchor_set):
+    """The kernel map written as one expression with (p, n) temporaries."""
+    feats = np.asarray(features, dtype=np.float64)
+    anchors = anchor_set.anchors
+    sq = (
+        (anchors * anchors).sum(axis=0)[:, None]
+        - 2.0 * (anchors.T @ feats)
+        + (feats * feats).sum(axis=0)[None, :]
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * anchor_set.kernel_width**2))
 
 
 class TestSelectAnchors:
@@ -110,3 +129,63 @@ class TestApplyKernel:
         anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=1.0)
         with pytest.raises(ShapeError):
             apply_kernel(np.zeros((4, 5)), anchor_set)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        num_anchors=st.integers(1, 8),
+        num_samples=st.integers(0, 12),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_three_temporary_expression(self, dim, num_anchors, num_samples, dtype, seed):
+        """Bit-identical to the expression form, and within 1e-12 of the per-entry map."""
+        rng = np.random.default_rng(seed)
+        anchor_set = select_anchors(rng.standard_normal((dim, num_anchors)), num_anchors, seed=0)
+        feats = (3.0 * rng.standard_normal((dim, num_samples))).astype(dtype)
+        out = apply_kernel(feats, anchor_set)
+        want = three_temporary_kernel(feats, anchor_set)
+        assert out.dtype == np.float64 and out.shape == (num_anchors, num_samples)
+        assert out.tobytes() == want.tobytes()
+        sigma = anchor_set.kernel_width
+        for j in range(num_anchors):
+            for i in range(num_samples):
+                gap = feats[:, i].astype(np.float64) - anchor_set.anchors[:, j]
+                assert abs(out[j, i] - np.exp(-float(gap @ gap) / (2.0 * sigma**2))) < 1e-12
+
+    def test_allocates_one_output_sized_array(self):
+        rng = np.random.default_rng(7)
+        anchor_set = AnchorSet(anchors=rng.standard_normal((64, 200)), kernel_width=8.0)
+        feats = rng.standard_normal((64, 5000))
+        tracemalloc.start()
+        try:
+            out = apply_kernel(feats, anchor_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
+
+    def test_norm_cache_survives_storage_and_pickle(self, tmp_path, standard_bundle, trained_standard):
+        model, _ = trained_standard
+        feats = standard_bundle.features_at(standard_bundle.query_indices)
+        want = [apply_kernel(feats[m], a) for m, a in enumerate(model.anchor_sets)]
+        path = tmp_path / "model.amfh"
+        store_model(model, path)
+        for copies in (
+            load_model(path).anchor_sets,
+            pickle.loads(pickle.dumps(model.anchor_sets)),
+        ):
+            for m, anchor_set in enumerate(copies):
+                assert apply_kernel(feats[m], anchor_set).tobytes() == want[m].tobytes()
+                assert (
+                    anchor_set.squared_norms.tobytes()
+                    == model.anchor_sets[m].squared_norms.tobytes()
+                )
+
+    def test_norm_cache_is_not_a_field(self):
+        anchor_set = AnchorSet(anchors=np.ones((2, 3)), kernel_width=1.0)
+        apply_kernel(np.zeros((2, 1)), anchor_set)
+        names = [f.name for f in dataclasses.fields(AnchorSet)]
+        assert names == ["anchors", "kernel_width", "modality_index", "seed"]
+        assert "squared_norms" not in repr(anchor_set)
+        np.testing.assert_array_equal(anchor_set.squared_norms, [[2.0], [2.0], [2.0]])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from fusehash import (
@@ -13,7 +15,14 @@ from fusehash import (
     fuse_encode_fixed,
     sign_to_pm1,
 )
-from fusehash.exceptions import DegenerateWeightError, InvalidParameterError, ShapeError
+from fusehash.centers import assign_target_codes
+from fusehash.exceptions import (
+    DegenerateWeightError,
+    InvalidParameterError,
+    NumericalError,
+    ShapeError,
+)
+from fusehash.kernel import apply_kernel, select_anchors
 from fusehash.training import objective, update_projection, update_weights
 
 
@@ -34,6 +43,49 @@ def scalar_objective(projections, weights, kernel_features, targets, delta):
                 resid += (targets[i, j] - proj[i] @ feats[:, j]) ** 2
         total += resid / weight + delta * np.sum(proj * proj)
     return total
+
+
+def reference_fit(features, labels, centers, config):
+    """The training loop spelled out with the public per-step functions."""
+    targets = assign_target_codes(centers, labels).astype(np.float64)
+    num_anchors = min(config.num_anchors, len(labels))
+    kernel_features = [
+        apply_kernel(f, select_anchors(f, num_anchors, config.seed, modality_index=m))
+        for m, f in enumerate(features)
+    ]
+    weights = np.full(len(features), 1.0 / len(features))
+    trace, converged, projections = [], False, []
+    for _ in range(config.max_iters):
+        projections = [
+            update_projection(targets, feats, weight, config.delta)
+            for feats, weight in zip(kernel_features, weights)
+        ]
+        weights = update_weights(
+            [
+                float(np.linalg.norm(targets - proj @ feats))
+                for proj, feats in zip(projections, kernel_features)
+            ]
+        )
+        value = objective(projections, weights, kernel_features, targets, config.delta)
+        if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
+            trace.append(value)
+            converged = True
+            break
+        trace.append(value)
+    return projections, weights, trace, converged
+
+
+def assert_fit_matches_reference(features, labels, centers, config):
+    """``fit`` equals :func:`reference_fit` bit for bit; returns the model."""
+    model = fit(features, labels, centers, config=config)
+    projections, weights, trace, converged = reference_fit(features, labels, centers, config)
+    assert len(model.projections) == len(projections)
+    for got, want in zip(model.projections, projections):
+        assert got.tobytes() == want.tobytes()
+    assert model.train_weights.tobytes() == weights.tobytes()
+    assert model.objective_trace == trace
+    assert model.converged == converged
+    return model
 
 
 class TestObjective:
@@ -238,6 +290,58 @@ class TestFit:
         labels = [{0} for _ in range(9)]
         with pytest.raises(ShapeError):
             fit(feats, labels, build_center_table(8, 2, seed=0))
+
+    @pytest.mark.parametrize("modality", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, modality, bad):
+        rng = np.random.default_rng(17)
+        feats = [rng.standard_normal((4, 20)), rng.standard_normal((3, 20))]
+        feats[modality][1, 7] = bad
+        labels = [{i % 2} for i in range(20)]
+        with pytest.raises(NumericalError, match=f"modality {modality}"):
+            fit(feats, labels, build_center_table(8, 2, seed=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_modalities=st.integers(1, 3),
+        num_samples=st.integers(6, 30),
+        anchor_share=st.floats(0.2, 1.0),
+        max_iters=st.sampled_from([1, 2, 50]),
+        delta=st.sampled_from([1e-3, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_loop(
+        self, num_modalities, num_samples, anchor_share, max_iters, delta, seed
+    ):
+        """Projections, weights, trace and convergence equal the per-step loop bit for bit."""
+        rng = np.random.default_rng(seed)
+        feats = [
+            rng.standard_normal((int(rng.integers(1, 6)), num_samples))
+            for _ in range(num_modalities)
+        ]
+        labels = [{int(c)} for c in rng.integers(0, 3, num_samples)]
+        centers = build_center_table(16, 3, seed=seed % 7)
+        config = TrainConfig(
+            delta=delta,
+            max_iters=max_iters,
+            seed=seed % 1000,
+            num_anchors=max(1, round(anchor_share * num_samples)),
+        )
+        model = assert_fit_matches_reference(feats, labels, centers, config)
+        if max_iters == 1:
+            assert not model.converged and len(model.objective_trace) == 1
+
+    def test_reference_loop_covers_all_anchors_and_iteration_cap(self):
+        """The oracle's two named cases: p == n, and a run stopped by max_iters."""
+        rng = np.random.default_rng(18)
+        feats = [rng.standard_normal((3, 12)), rng.standard_normal((2, 12))]
+        labels = [{i % 3} for i in range(12)]
+        centers = build_center_table(8, 3, seed=0)
+        capped = TrainConfig(num_anchors=12, max_iters=2, rel_tol=1e-300)
+        for config in (TrainConfig(num_anchors=12), capped):
+            model = assert_fit_matches_reference(feats, labels, centers, config)
+            assert model.projections[0].shape == (8, 12)
+        assert not model.converged and len(model.objective_trace) == 2
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParameterError):
