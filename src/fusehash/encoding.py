@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import EmptyBatchError, InvalidParameterError, ShapeError
+from .exceptions import (
+    EmptyBatchError,
+    InvalidParameterError,
+    NumericalError,
+    ShapeError,
+)
 from .kernel import apply_kernel
 from .packing import sign_to_pm1
 from .training import TrainedModel, update_weights
@@ -73,9 +78,10 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
     projected: dict[int, np.ndarray] = {}
     sizes = set()
     for m in present:
-        kernel_features = apply_kernel(batch.features[m], model.anchor_sets[m])
-        sizes.add(kernel_features.shape[1])
-        projected[m] = model.projections[m] @ kernel_features
+        projected[m] = apply_kernel(
+            batch.features[m], model.anchor_sets[m], model.projections[m]
+        )
+        sizes.add(projected[m].shape[1])
     if len(sizes) != 1:
         raise ShapeError(f"present modalities disagree on batch size: {sorted(sizes)}")
     if sizes.pop() == 0:
@@ -199,6 +205,6 @@ def encode_stream(
                 results.append(encode_adaptive(model, batch))
             else:
                 results.append(encode_fixed(model, batch))
-        except (ShapeError, EmptyBatchError, InvalidParameterError) as exc:
+        except (ShapeError, EmptyBatchError, InvalidParameterError, NumericalError) as exc:
             results.append(FailedBatch(batch_index=index, error=exc))
     return results

@@ -86,24 +86,27 @@ def _rank_blocks(query_codes, db_codes):
 def average_precision(relevance, cutoff: int) -> float:
     """Average precision of a ranked relevance vector over the top ``cutoff``.
 
-    Sums precision-at-m over the relevant ranks m <= cutoff and divides by
-    the number of relevant items in the top cutoff; no relevant item in the
-    cutoff gives 0 by convention.
+    Relevance is binary: a nonzero entry marks a relevant item. Sums
+    precision-at-m over the relevant ranks m <= cutoff and divides by the
+    number of relevant items in the top cutoff; no relevant item in the
+    cutoff gives 0 by convention. Precision is written only at the relevant
+    ranks of a zero vector of length ``cutoff`` and the whole vector is
+    summed, so numpy's pairwise summation order depends on the cutoff alone.
     """
-    rel = np.asarray(relevance, dtype=np.float64).reshape(-1)
+    rel = np.asarray(relevance).reshape(-1)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be at least 1, got {cutoff}")
     if cutoff > rel.shape[0]:
         raise InvalidParameterError(
             f"cutoff {cutoff} exceeds ranking length {rel.shape[0]}"
         )
-    rel = rel[:cutoff]
-    hits = np.cumsum(rel)
-    found = hits[-1]
+    positions = np.flatnonzero(rel[:cutoff])
+    found = positions.shape[0]
     if found == 0:
         return 0.0
-    ranks = np.arange(1, cutoff + 1, dtype=np.float64)
-    return float((hits / ranks * rel).sum() / found)
+    precision = np.zeros(cutoff)
+    precision[positions] = np.arange(1, found + 1, dtype=np.float64) / (positions + 1.0)
+    return float(precision.sum() / found)
 
 
 def precision_at_k(relevance, k: int) -> float:

@@ -34,7 +34,8 @@ class EmptyBatchError(FusehashError, ValueError):
 
 
 class NumericalError(FusehashError, RuntimeError):
-    """A linear solve failed on a system that should be positive definite."""
+    """A linear solve failed on a system that should be positive definite,
+    or a feature matrix holds a NaN or infinite value."""
 
 
 class CorruptFileError(FusehashError, ValueError):

@@ -234,7 +234,9 @@ def fuse_encode_fixed(model: TrainedModel, features) -> np.ndarray:
     """Sign of the training-weight-fused projection of full-modality data.
 
     This is the fixed-weight hash function: each modality contributes its
-    projection scaled by the reciprocal of its training weight.
+    projection scaled by the reciprocal of its training weight. Each term
+    comes from the blocked projected kernel map and is added into one
+    ``(r, n)`` accumulator, so no ``(p, n)`` kernel matrix is built.
     """
     if len(features) != model.num_modalities:
         raise ShapeError(
@@ -242,7 +244,10 @@ def fuse_encode_fixed(model: TrainedModel, features) -> np.ndarray:
         )
     fused = None
     for m in range(model.num_modalities):
-        kernel_features = apply_kernel(features[m], model.anchor_sets[m])
-        term = (model.projections[m] @ kernel_features) / model.train_weights[m]
-        fused = term if fused is None else fused + term
+        term = apply_kernel(features[m], model.anchor_sets[m], model.projections[m])
+        term /= model.train_weights[m]
+        if fused is None:
+            fused = term
+        else:
+            fused += term
     return sign_to_pm1(fused)

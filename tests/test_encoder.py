@@ -1,5 +1,7 @@
 """Batch encoder: adaptive weights, fixed weights, stream handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,16 @@ from fusehash import (
     encode_fixed,
     encode_stream,
     fuse_encode_fixed,
+    kernel,
     make_noisy_stream,
+    sign_to_pm1,
 )
-from fusehash.exceptions import EmptyBatchError, InvalidParameterError, ShapeError
+from fusehash.exceptions import (
+    EmptyBatchError,
+    InvalidParameterError,
+    NumericalError,
+    ShapeError,
+)
 
 
 def toy_model(rng, code_length, dims, weights=None):
@@ -243,3 +252,90 @@ class TestEncodeStream:
         model, _ = trained_standard
         with pytest.raises(InvalidParameterError):
             encode_stream(model, [], mode="hybrid")
+
+
+def unblocked_fixed_codes(model, features):
+    """The fixed-weight hash with each modality's whole (p, n) kernel matrix."""
+    fused = sum(
+        (model.projections[m] @ apply_kernel(features[m], model.anchor_sets[m]))
+        / model.train_weights[m]
+        for m in range(model.num_modalities)
+    )
+    return sign_to_pm1(fused)
+
+
+class TestBlockedEncoding:
+    def test_database_codes_equal_unblocked_across_block_boundaries(
+        self, monkeypatch, standard_bundle, trained_standard
+    ):
+        model, _ = trained_standard
+        feats = standard_bundle.features_at(standard_bundle.retrieval_indices)
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", 16)
+        assert feats[0].shape[1] > 2 * kernel.KERNEL_BLOCK
+        want = unblocked_fixed_codes(model, feats)
+        np.testing.assert_array_equal(fuse_encode_fixed(model, feats), want)
+        np.testing.assert_array_equal(encode_fixed(model, QueryBatch(features=feats)).codes, want)
+
+    def test_fixed_encoding_memory_is_bounded_by_a_block(self):
+        """Peak O(r n + p KERNEL_BLOCK); two whole (p, n) kernel matrices would be 2 p n."""
+        rng = np.random.default_rng(12)
+        block = kernel.KERNEL_BLOCK
+        num_anchors, code_length, num_samples = 500, 16, 8 * block
+        model = TrainedModel(
+            projections=[rng.standard_normal((code_length, num_anchors)) for _ in range(2)],
+            anchor_sets=[
+                AnchorSet(anchors=rng.standard_normal((4, num_anchors)), kernel_width=2.0, modality_index=m)
+                for m in range(2)
+            ],
+            train_weights=np.array([0.4, 0.6]),
+            delta=1e-3,
+            code_length=code_length,
+        )
+        feats = [rng.standard_normal((4, num_samples)) for _ in range(2)]
+        for anchor_set in model.anchor_sets:
+            anchor_set.squared_norms  # cached before measuring
+        tracemalloc.start()
+        try:
+            fuse_encode_fixed(model, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * num_anchors * block + 3 * code_length * num_samples)
+
+
+class TestNonFiniteInput:
+    def test_adaptive_rejects_one_nan(self, standard_bundle, trained_standard):
+        model, _ = trained_standard
+        feats = [f.copy() for f in standard_bundle.features_at(standard_bundle.query_indices)]
+        feats[1][3, 5] = np.nan
+        with pytest.raises(NumericalError, match="modality 1"):
+            encode_adaptive(model, QueryBatch(features=feats))
+
+    def test_fixed_rejects_an_all_inf_modality(self, standard_bundle, trained_standard):
+        model, _ = trained_standard
+        feats = [f.copy() for f in standard_bundle.features_at(standard_bundle.query_indices)]
+        feats[0][:] = np.inf
+        with pytest.raises(NumericalError, match="modality 0"):
+            encode_fixed(model, QueryBatch(features=feats))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_fuse_encode_fixed_rejects_non_finite(
+        self, monkeypatch, standard_bundle, trained_standard, bad
+    ):
+        model, _ = trained_standard
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", 16)
+        feats = [f.copy() for f in standard_bundle.features_at(standard_bundle.retrieval_indices)]
+        feats[1][0, -1] = bad  # in the last block
+        with pytest.raises(NumericalError, match="modality 1"):
+            fuse_encode_fixed(model, feats)
+
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_stream_reports_a_failed_batch(self, trained_standard, mode):
+        model, _ = trained_standard
+        rng = np.random.default_rng(13)
+        good = QueryBatch(features=[rng.standard_normal((32, 4)), rng.standard_normal((16, 4))])
+        bad = QueryBatch(features=[rng.standard_normal((32, 4)), np.full((16, 4), np.nan)])
+        results = encode_stream(model, [good, bad, good], mode=mode)
+        assert isinstance(results[1], FailedBatch)
+        assert isinstance(results[1].error, NumericalError)
+        assert isinstance(results[0], EncodeResult) and isinstance(results[2], EncodeResult)

@@ -122,6 +122,16 @@ class TestHammingRank:
             np.testing.assert_array_equal(single.distances, expected_distances)
 
 
+def cumsum_average_precision(relevance, cutoff):
+    """AP from the running hit count at every rank, summed over the whole cutoff."""
+    rel = np.asarray(relevance, dtype=np.float64)[:cutoff]
+    hits = np.cumsum(rel)
+    if hits[-1] == 0:
+        return 0.0
+    ranks = np.arange(1, cutoff + 1, dtype=np.float64)
+    return float((hits / ranks * rel).sum() / hits[-1])
+
+
 class TestAveragePrecision:
     def test_worked_example(self):
         """Hits at ranks 1 and 3 of a cutoff 3 give (1 + 2/3) / 2."""
@@ -146,6 +156,19 @@ class TestAveragePrecision:
             got = average_precision(relevance, cutoff)
             want = naive_average_precision(relevance, cutoff)
             assert abs(got - want) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        relevance=st.lists(st.booleans(), min_size=1, max_size=600),
+        as_int=st.booleans(),
+    )
+    def test_equals_cumsum_formula_bit_for_bit(self, relevance, as_int):
+        """Bool and 0/1 vectors, every cutoff: the same float, byte for byte."""
+        rel = np.array(relevance, dtype=np.int64 if as_int else bool)
+        for cutoff in range(1, rel.shape[0] + 1):
+            got = average_precision(rel, cutoff)
+            want = cumsum_average_precision(rel, cutoff)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(InvalidParameterError):

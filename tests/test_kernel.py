@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fusehash import AnchorSet, apply_kernel, load_model, select_anchors, store_model
-from fusehash.exceptions import InvalidParameterError, ShapeError
+from fusehash import AnchorSet, apply_kernel, kernel, load_model, select_anchors, store_model
+from fusehash.exceptions import InvalidParameterError, NumericalError, ShapeError
 
 
 def three_temporary_kernel(features, anchor_set):
@@ -189,3 +189,87 @@ class TestApplyKernel:
         assert names == ["anchors", "kernel_width", "modality_index", "seed"]
         assert "squared_norms" not in repr(anchor_set)
         np.testing.assert_array_equal(anchor_set.squared_norms, [[2.0], [2.0], [2.0]])
+
+
+# Small enough that a handful of columns spans several blocks; a multiple
+# of 8 like KERNEL_BLOCK, so BLAS tiles blocks as it tiles the whole matrix.
+SMALL_BLOCK = 8
+
+
+def projected_case(rng, dim, num_anchors, code_length, num_samples):
+    anchor_set = select_anchors(rng.standard_normal((dim, num_anchors)), num_anchors, seed=0)
+    feats = 3.0 * rng.standard_normal((dim, num_samples))
+    projection = rng.standard_normal((code_length, num_anchors))
+    return feats, anchor_set, projection
+
+
+class TestProjectedKernel:
+    @pytest.mark.parametrize(
+        "num_samples",
+        [0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3],
+    )
+    def test_blocked_projection_equals_unblocked(self, monkeypatch, num_samples):
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
+        feats, anchor_set, projection = projected_case(
+            np.random.default_rng(num_samples), 5, 7, 6, num_samples
+        )
+        out = apply_kernel(feats, anchor_set, projection)
+        want = projection @ apply_kernel(feats, anchor_set)
+        assert out.shape == (6, num_samples) and out.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        dim=st.integers(1, 12),
+        num_anchors=st.integers(1, 20),
+        code_length=st.integers(1, 24),
+        num_samples=st.integers(0, 5 * SMALL_BLOCK + 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_projection_equals_unblocked_property(
+        self, monkeypatch, dim, num_anchors, code_length, num_samples, seed
+    ):
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
+        feats, anchor_set, projection = projected_case(
+            np.random.default_rng(seed), dim, num_anchors, code_length, num_samples
+        )
+        out = apply_kernel(feats, anchor_set, projection)
+        want = projection @ apply_kernel(feats, anchor_set)
+        assert out.tobytes() == want.tobytes()
+
+    def test_full_size_blocks_equal_unblocked(self):
+        """The shipped block size at the benchmark's code length, remainder included."""
+        feats, anchor_set, projection = projected_case(
+            np.random.default_rng(8), 8, 200, 64, 2 * kernel.KERNEL_BLOCK + 3
+        )
+        out = apply_kernel(feats, anchor_set, projection)
+        want = projection @ apply_kernel(feats, anchor_set)
+        assert out.tobytes() == want.tobytes()
+
+    def test_rejects_mismatched_projection_and_features(self):
+        anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=1.0)
+        with pytest.raises(ShapeError):
+            apply_kernel(np.zeros((3, 5)), anchor_set, np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            apply_kernel(np.zeros((3, 5)), anchor_set, np.zeros(2))
+        with pytest.raises(ShapeError):
+            apply_kernel(np.zeros((4, 5)), anchor_set, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 2 * SMALL_BLOCK + 2])
+    def test_non_finite_feature_names_the_modality(self, monkeypatch, bad, column):
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
+        rng = np.random.default_rng(9)
+        anchor_set = AnchorSet(
+            anchors=rng.standard_normal((3, 4)), kernel_width=1.0, modality_index=1
+        )
+        feats = rng.standard_normal((3, 2 * SMALL_BLOCK + 3))
+        feats[2, column] = bad
+        with pytest.raises(NumericalError, match="modality 1"):
+            apply_kernel(feats, anchor_set, rng.standard_normal((5, 4)))
+        with pytest.raises(NumericalError, match="modality 1"):
+            apply_kernel(feats[:, column : column + 1], anchor_set, rng.standard_normal((5, 4)))
