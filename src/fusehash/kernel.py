@@ -111,12 +111,14 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     building the whole of K: inputs of more than ``KERNEL_BLOCK`` columns are
     mapped and projected one column block at a time into the ``(r, n)``
     result, so memory is O(r n + p KERNEL_BLOCK). Blocks start at multiples
-    of ``KERNEL_BLOCK`` and none is narrower (the last one takes the
-    remainder), so BLAS tiles every block's columns as it tiles the whole
-    product; at the benchmark's sizes the result is the unblocked one bit
-    for bit. Where r p KERNEL_BLOCK is small enough for a BLAS small-matrix
-    kernel, a column can differ from the unblocked product in the last bit.
-    A projected input must be finite: a NaN or infinite feature raises
+    of ``KERNEL_BLOCK`` and none is narrower unless it is the only one (the
+    last one takes the remainder), so BLAS tiles every block's columns as
+    it tiles the whole product; at the benchmark's sizes the result is the
+    unblocked one bit for bit. Where r p KERNEL_BLOCK is small enough for a
+    BLAS small-matrix kernel, a column can differ from the unblocked product
+    in the last bit.
+
+    Features must be finite: a NaN or infinite feature raises
     :class:`NumericalError` naming the anchor set's modality.
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -131,28 +133,26 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
         )
     if projection is None:
-        return _map_block(feats, anchor_set)
+        return _map_block(require_finite(feats, anchor_set.modality_index), anchor_set)
     proj = np.asarray(projection, dtype=np.float64)
     if proj.ndim != 2 or proj.shape[1] != anchors.shape[1]:
         raise ShapeError(
             f"projection shape {proj.shape} does not match {anchors.shape[1]} anchors"
         )
     n = feats.shape[1]
-    if n <= KERNEL_BLOCK:
-        return proj @ _map_block(_finite(feats, anchor_set), anchor_set)
     out = np.empty((proj.shape[0], n))
-    edges = [*range(0, n - KERNEL_BLOCK + 1, KERNEL_BLOCK), n]
+    edges = [*range(0, max(n - KERNEL_BLOCK, 0) + 1, KERNEL_BLOCK), n]
     for start, stop in zip(edges, edges[1:]):
-        block = _finite(feats[:, start:stop], anchor_set)
+        block = require_finite(feats[:, start:stop], anchor_set.modality_index)
         np.matmul(proj, _map_block(block, anchor_set), out=out[:, start:stop])
     return out
 
 
-def _finite(feats: np.ndarray, anchor_set: AnchorSet) -> np.ndarray:
+def require_finite(feats: np.ndarray, modality_index: int) -> np.ndarray:
+    """Return ``feats``, or raise :class:`NumericalError` naming the modality
+    when any entry is NaN or infinite."""
     if not np.isfinite(feats).all():
-        raise NumericalError(
-            f"modality {anchor_set.modality_index} has non-finite features"
-        )
+        raise NumericalError(f"modality {modality_index} has non-finite features")
     return feats
 
 

@@ -21,7 +21,7 @@ from .exceptions import (
     NumericalError,
     ShapeError,
 )
-from .kernel import AnchorSet, apply_kernel, select_anchors
+from .kernel import AnchorSet, apply_kernel, require_finite, select_anchors
 from .packing import sign_to_pm1
 
 # Residual norms are clamped here before normalizing, so an exact fit
@@ -166,8 +166,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     if len(counts) != 1:
         raise ShapeError(f"modalities disagree on sample count: {sorted(counts)}")
     for m, mat in enumerate(mats):
-        if not np.isfinite(mat).all():
-            raise NumericalError(f"modality {m} has non-finite training features")
+        require_finite(mat, m)
     n = counts.pop()
     if n < 2:
         raise InvalidParameterError(f"need at least 2 training samples, got {n}")

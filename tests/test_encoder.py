@@ -268,6 +268,8 @@ class TestBlockedEncoding:
     def test_database_codes_equal_unblocked_across_block_boundaries(
         self, monkeypatch, standard_bundle, trained_standard
     ):
+        """Codes are signs, so they match unless BLAS rounds a block's product
+        differently in the last bit at an entry within that bit of zero."""
         model, _ = trained_standard
         feats = standard_bundle.features_at(standard_bundle.retrieval_indices)
         monkeypatch.setattr(kernel, "KERNEL_BLOCK", 16)

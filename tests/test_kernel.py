@@ -195,6 +195,13 @@ class TestApplyKernel:
 # of 8 like KERNEL_BLOCK, so BLAS tiles blocks as it tiles the whole matrix.
 SMALL_BLOCK = 8
 
+# Byte equality between a blocked and a whole-matrix product holds when BLAS
+# computes every block with the kind of GEMM kernel it uses for the whole
+# product. That holds on OpenBLAS 0.3.31 (x86-64) for the cases below, where
+# blocks and the whole product are both small, or both large; another BLAS
+# may pick its small-matrix kernel for a block and not for the whole
+# product, and round a column differently in the last bit.
+
 
 def projected_case(rng, dim, num_anchors, code_length, num_samples):
     anchor_set = select_anchors(rng.standard_normal((dim, num_anchors)), num_anchors, seed=0)
@@ -209,6 +216,7 @@ class TestProjectedKernel:
         [0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 3],
     )
     def test_blocked_projection_equals_unblocked(self, monkeypatch, num_samples):
+        """Byte-equal to ``projection @ K`` (the BLAS condition above)."""
         monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
         feats, anchor_set, projection = projected_case(
             np.random.default_rng(num_samples), 5, 7, 6, num_samples
@@ -221,6 +229,7 @@ class TestProjectedKernel:
     @settings(
         max_examples=60,
         deadline=None,
+        derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
@@ -230,19 +239,27 @@ class TestProjectedKernel:
         num_samples=st.integers(0, 5 * SMALL_BLOCK + 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blocked_projection_equals_unblocked_property(
+    def test_blocked_projection_matches_unblocked_property(
         self, monkeypatch, dim, num_anchors, code_length, num_samples, seed
     ):
+        """Every column lands in place for any shape; rounding is left to BLAS.
+
+        Kernel values lie in (0, 1], so an entry's rounding error is bounded
+        by a few ulps of its row's absolute projection sum.
+        """
         monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
         feats, anchor_set, projection = projected_case(
             np.random.default_rng(seed), dim, num_anchors, code_length, num_samples
         )
         out = apply_kernel(feats, anchor_set, projection)
         want = projection @ apply_kernel(feats, anchor_set)
-        assert out.tobytes() == want.tobytes()
+        assert out.shape == want.shape
+        scale = np.abs(projection).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(out - want) <= 1e-13 * scale)
 
     def test_full_size_blocks_equal_unblocked(self):
-        """The shipped block size at the benchmark's code length, remainder included."""
+        """The shipped block size at the benchmark's code length, remainder
+        included, byte-equal (the BLAS condition above)."""
         feats, anchor_set, projection = projected_case(
             np.random.default_rng(8), 8, 200, 64, 2 * kernel.KERNEL_BLOCK + 3
         )
@@ -273,3 +290,5 @@ class TestProjectedKernel:
             apply_kernel(feats, anchor_set, rng.standard_normal((5, 4)))
         with pytest.raises(NumericalError, match="modality 1"):
             apply_kernel(feats[:, column : column + 1], anchor_set, rng.standard_normal((5, 4)))
+        with pytest.raises(NumericalError, match="modality 1"):
+            apply_kernel(feats, anchor_set)  # the same rule without a projection
