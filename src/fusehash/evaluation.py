@@ -13,6 +13,8 @@ as a radix sort for these dtypes. A stable sort keeps ties in ascending
 index order, so the ranking is the one int64 distances would give; public
 results still carry int64 distances. Evaluation memory is
 O(RANK_BLOCK * n_db) for distances, order and relevance, not O(n_q * n_db).
+Code matrices returned by ``load_codes`` carry their packed bytes, which
+the kernel uses as they are instead of validating and packing again.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def _rank_blocks(query_codes, db_codes):
             f"query codes {q.shape} and database codes {db.shape} disagree "
             "on code length"
         )
-    packed_q = pack_codes(q)
-    packed_db = pack_codes(db)
+    packed_q = pack_codes(query_codes)  # the originals: a loaded CodeMatrix
+    packed_db = pack_codes(db_codes)  # hands over its bytes, np.asarray would not
     dtype = np.min_scalar_type(q.shape[0])
     for start in range(0, packed_q.shape[1], RANK_BLOCK):
         block = packed_q[:, start : start + RANK_BLOCK]
@@ -174,7 +176,7 @@ def mean_average_precision(
     db_mat = _label_matrix(db_labels, label_ids)
 
     per_query = np.empty(num_queries)
-    for start, order, _ in _rank_blocks(q, db):
+    for start, order, _ in _rank_blocks(query_codes, db_codes):
         stop = start + order.shape[0]
         relevant = (query_mat[:, start:stop].T @ db_mat) > 0  # label-intersection test
         for i, (row, row_order) in enumerate(zip(relevant, order), start):

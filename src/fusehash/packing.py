@@ -12,6 +12,14 @@ the output at its bit position, which gives the same bytes as
 strided axis column by column. Each row moves to its bit position by a
 multiply with ``1 << bit``, which numpy vectorizes for uint8 where it does
 not vectorize the equivalent left shift.
+
+A code matrix read from a file is a :class:`CodeMatrix`: a read-only int8
+``(r, n)`` array whose ``packed`` attribute holds the ``(ceil(r/8), n)``
+bytes it was unpacked from. :func:`pack_codes` returns those bytes instead
+of validating and packing the matrix again, so ranking a stored database
+never repacks it. Every array derived from a ``CodeMatrix`` (a slice, a
+copy, a ufunc result, ``np.array(...)``) carries ``packed = None`` and is
+packed from scratch.
 """
 
 from __future__ import annotations
@@ -21,19 +29,54 @@ import numpy as np
 from .exceptions import InvalidParameterError, ShapeError
 
 
+class CodeMatrix(np.ndarray):
+    """Read-only int8 ``(r, n)`` code matrix that carries its packed bytes.
+
+    ``packed`` is the read-only ``(ceil(r/8), n)`` uint8 form of the matrix
+    with zero padding bits, or None on any array derived from it.
+    """
+
+    packed: np.ndarray | None
+
+    def __array_finalize__(self, obj) -> None:
+        self.packed = None
+
+
+def _code_matrix(packed: np.ndarray, code_length: int) -> CodeMatrix:
+    """Unpack validated bytes into a read-only :class:`CodeMatrix` carrying them."""
+    packed.flags.writeable = False
+    out = unpack_codes(packed, code_length).view(CodeMatrix)
+    arr = out
+    while isinstance(arr, np.ndarray):  # a view of a read-only base cannot be unlocked
+        arr.flags.writeable = False
+        arr = arr.base
+    out.packed = packed
+    return out
+
+
 def sign_to_pm1(values) -> np.ndarray:
     """Elementwise sign with the deterministic tie rule sign(0) = +1."""
     arr = np.asarray(values)
-    return np.where(arr >= 0, 1, -1).astype(np.int8)
+    return np.where(arr >= 0, np.int8(1), np.int8(-1))
+
+
+def _require_pm1(arr: np.ndarray) -> None:
+    if not np.all(np.abs(arr) == 1):
+        raise InvalidParameterError("code entries must be -1 or +1")
 
 
 def pack_codes(codes) -> np.ndarray:
-    """Pack an ``(r, n)`` matrix over {-1, +1} into ``(ceil(r/8), n)`` uint8."""
+    """Pack an ``(r, n)`` matrix over {-1, +1} into ``(ceil(r/8), n)`` uint8.
+
+    A :class:`CodeMatrix` that carries its packed bytes returns them as they
+    are (read-only); any other input is validated and packed.
+    """
+    if isinstance(codes, CodeMatrix) and codes.packed is not None:
+        return codes.packed
     arr = np.asarray(codes)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-d code matrix, got shape {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
-        raise InvalidParameterError("code entries must be -1 or +1")
+    _require_pm1(arr)
     bits = (arr > 0).view(np.uint8)
     packed = np.zeros(((arr.shape[0] + 7) // 8, arr.shape[1]), dtype=np.uint8)
     for bit in range(8):
@@ -51,8 +94,10 @@ def unpack_codes(packed, code_length: int) -> np.ndarray:
         raise ShapeError(
             f"{arr.shape[0]} packed rows cannot hold {code_length} code bits"
         )
-    bits = np.unpackbits(arr, axis=0, count=code_length, bitorder="little")
-    return np.where(bits > 0, 1, -1).astype(np.int8)
+    codes = np.unpackbits(arr, axis=0, count=code_length, bitorder="little").view(np.int8)
+    codes *= 2  # bits 0/1 become -1/+1 in place, without a wider temporary
+    codes -= 1
+    return codes
 
 
 def packed_hamming(query, database) -> np.ndarray:

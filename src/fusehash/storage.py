@@ -6,6 +6,10 @@ preceding bytes. Loads verify magic, kind, version, and checksum before
 touching the payload, so a truncated or mangled file is rejected whole.
 Writes go through a temporary file that replaces the target only once it
 is complete, so an interrupted write never clobbers an existing file.
+
+Code and center files store each code as ``ceil(r/8)`` packed bytes with
+zero padding bits; a set padding bit rejects the file. ``load_codes``
+returns a read-only ``CodeMatrix`` that keeps those bytes for ranking.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .centers import HashCenterTable
 from .exceptions import CorruptFileError, ShapeError
 from .kernel import AnchorSet
-from .packing import pack_codes, unpack_codes
+from .packing import CodeMatrix, _code_matrix, pack_codes, unpack_codes
 from .synth import DatasetBundle
 from .training import TrainedModel
 
@@ -137,26 +141,39 @@ def load_features(path) -> np.ndarray:
 
 def store_codes(codes, path) -> None:
     """Write a sign-code matrix as a kind-2 AMFH file, one packed column at a time."""
-    mat = np.asarray(codes)
-    packed = pack_codes(mat)  # validates shape and the {-1, +1} alphabet
-    payload = struct.pack("<QQ", *mat.shape) + packed.T.tobytes(order="C")
+    packed = pack_codes(codes)  # validates shape and the {-1, +1} alphabet
+    payload = struct.pack("<QQ", *np.shape(codes)) + packed.T.tobytes(order="C")
     _write_file(path, KIND_CODES, payload)
 
 
-def load_codes(path) -> np.ndarray:
-    payload = _read_file(path, KIND_CODES)
-    cur = _Cursor(payload)
+def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndarray:
+    """Read ``count`` packed codes into a ``(ceil(r/8), count)`` uint8 matrix.
+
+    Packed distances are exact only if padding bits are zero, so a set
+    padding bit in the last byte row rejects the file.
+    """
+    bytes_per_code = (code_length + 7) // 8
+    raw = cur.take(bytes_per_code * count)
+    cur.done()
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, bytes_per_code).T.copy()
+    if code_length % 8 and np.any(packed[-1] >> (code_length % 8)):
+        raise CorruptFileError(f"{path}: nonzero padding bits after code bit {code_length}")
+    return packed
+
+
+def load_codes(path) -> CodeMatrix:
+    """Read a kind-2 AMFH file as a read-only :class:`~fusehash.packing.CodeMatrix`.
+
+    The matrix carries the packed bytes it was read from, so packing it for
+    ranking or storing costs nothing; arrays derived from it do not carry
+    them. A file with a nonzero padding bit raises ``CorruptFileError``.
+    """
+    cur = _Cursor(_read_file(path, KIND_CODES))
     code_length = cur.u64()
     count = cur.u64()
     if code_length < 1:
         raise CorruptFileError(f"{path}: non-positive code length")
-    bytes_per_code = (code_length + 7) // 8
-    raw = cur.take(bytes_per_code * count)
-    cur.done()
-    packed = (
-        np.frombuffer(raw, dtype=np.uint8).reshape(count, bytes_per_code).T.copy()
-    )
-    return unpack_codes(packed, code_length)
+    return _code_matrix(_packed_columns(cur, code_length, count, path), code_length)
 
 
 def store_centers(table: HashCenterTable, path) -> None:
@@ -182,14 +199,7 @@ def load_centers(path) -> HashCenterTable:
     is_exact = cur.u8()
     if code_length < 1 or num_categories < 1:
         raise CorruptFileError(f"{path}: non-positive center dimensions")
-    bytes_per_code = (code_length + 7) // 8
-    raw = cur.take(bytes_per_code * num_categories)
-    cur.done()
-    packed = (
-        np.frombuffer(raw, dtype=np.uint8)
-        .reshape(num_categories, bytes_per_code)
-        .T.copy()
-    )
+    packed = _packed_columns(cur, code_length, num_categories, path)
     return HashCenterTable(
         code_length=code_length,
         num_categories=num_categories,

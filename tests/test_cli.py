@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fusehash import load_centers, load_codes, load_model, store_codes
+from fusehash import cli, load_centers, load_codes, load_model, store_codes
 from fusehash.cli import main
 from fusehash.evaluation import RANK_BLOCK
 
@@ -236,6 +236,37 @@ class TestQuery:
             for rank, index in enumerate(order[:top], 1):
                 expected.append(f"query={i} rank={rank} index={index} distance={distances[index]}\n")
         assert stdout == "".join(expected)
+
+
+class TestLoadedCodes:
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_output_equals_plain_copies(self, tmp_path, capsys, monkeypatch, command):
+        """Ranking from the carried bytes prints what plain int8 copies print."""
+        rng = np.random.default_rng(14)
+        db = np.where(rng.random((13, 30)) < 0.5, 1, -1).astype(np.int8)
+        queries = np.where(rng.random((13, RANK_BLOCK + 6)) < 0.5, 1, -1).astype(np.int8)
+        store_codes(db, tmp_path / "db.amfh")
+        store_codes(queries, tmp_path / "q.amfh")
+        (tmp_path / "db.txt").write_text("".join(f"{j % 3}\n" for j in range(30)))
+        (tmp_path / "q.txt").write_text("".join(f"{j % 4}\n" for j in range(RANK_BLOCK + 6)))
+        argv = {
+            "query": ["query", "--db", str(tmp_path / "db.amfh"),
+                      "--queries", str(tmp_path / "q.amfh"), "--top", "12"],
+            "eval": ["eval", "--db", str(tmp_path / "db.amfh"),
+                     "--queries", str(tmp_path / "q.amfh"),
+                     "--db-labels", str(tmp_path / "db.txt"),
+                     "--query-labels", str(tmp_path / "q.txt"),
+                     "--per-query", "--out", str(tmp_path / "report.txt")],
+        }[command]
+        code, loaded_out, _ = run(argv, capsys)
+        assert code == 0
+        loaded_report = (tmp_path / "report.txt").read_text() if command == "eval" else ""
+        monkeypatch.setattr(cli, "load_codes", lambda path: np.array(load_codes(path)))
+        code, plain_out, _ = run(argv, capsys)
+        assert code == 0
+        assert loaded_out == plain_out
+        if command == "eval":
+            assert (tmp_path / "report.txt").read_text() == loaded_report
 
 
 class TestEval:

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from fusehash import (
     average_precision,
     hamming_rank,
+    load_codes,
     mean_average_precision,
+    packing,
     precision_at_k,
     sign_to_pm1,
+    store_codes,
 )
 from fusehash.evaluation import RANK_BLOCK, _rank_blocks, format_report, report_key_values
 from fusehash.exceptions import InvalidParameterError, LabelError, ShapeError
@@ -314,6 +317,56 @@ class TestMeanAveragePrecision:
         code = np.ones((8, 1), dtype=np.int8)
         with pytest.raises(InvalidParameterError):
             mean_average_precision(code, [{0}], code, [{0}], cutoff=2)
+
+
+class TestLoadedCodes:
+    """Codes read by ``load_codes`` rank from their carried bytes like a plain copy."""
+
+    @staticmethod
+    def loaded(tmp_path, name, codes):
+        store_codes(codes, tmp_path / name)
+        return load_codes(tmp_path / name)
+
+    @pytest.mark.parametrize("num_queries", [RANK_BLOCK - 1, RANK_BLOCK + 1])
+    @pytest.mark.parametrize("code_length", [3, 64, 300])
+    def test_loaded_equals_plain_copy(self, tmp_path, num_queries, code_length):
+        rng = np.random.default_rng(code_length + num_queries)
+        base = random_codes(rng, code_length, 40)
+        db = base[:, rng.integers(0, 40, 200)]  # repeated columns: ties
+        db_labels = [{int(rng.integers(0, 4))} for _ in range(200)]
+        queries = random_codes(rng, code_length, num_queries)
+        query_labels = [{int(rng.integers(0, 4))} for _ in range(num_queries)]
+        loaded_db = self.loaded(tmp_path, "db.amfh", db)
+        loaded_q = self.loaded(tmp_path, "q.amfh", queries)
+        plain_db, plain_q = np.array(loaded_db), np.array(loaded_q)
+        for i in (0, RANK_BLOCK - 2, num_queries - 1):
+            got = hamming_rank(loaded_q[:, i], loaded_db)
+            want = hamming_rank(plain_q[:, i], plain_db)
+            np.testing.assert_array_equal(got.ranked_indices, want.ranked_indices)
+            np.testing.assert_array_equal(got.distances, want.distances)
+            np.testing.assert_array_equal(got.query_code, want.query_code)
+            assert got.distances.dtype == np.int64
+        for cutoff in (None, 10):
+            got = mean_average_precision(loaded_q, query_labels, loaded_db, db_labels, cutoff)
+            want = mean_average_precision(plain_q, query_labels, plain_db, db_labels, cutoff)
+            assert got.per_query_ap.tobytes() == want.per_query_ap.tobytes()
+            assert got.map == want.map
+
+    def test_loaded_database_skips_the_sign_check(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        loaded_db = self.loaded(tmp_path, "db.amfh", random_codes(rng, 64, 500))
+        query = random_codes(rng, 64, 1)[:, 0]
+        checked = []
+        check = packing._require_pm1
+        monkeypatch.setattr(packing, "_require_pm1", lambda arr: (checked.append(arr.shape), check(arr)))
+        hamming_rank(query, loaded_db)
+        assert checked == [(64, 1)]  # the query alone
+        checked.clear()
+        mean_average_precision(query[:, None], [{0}], loaded_db, [{0}] * 500)
+        assert checked == [(64, 1)]
+        checked.clear()
+        hamming_rank(query, np.array(loaded_db))  # a plain copy is checked
+        assert checked == [(64, 1), (64, 500)]
 
 
 class TestReportText:

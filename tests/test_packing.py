@@ -1,12 +1,15 @@
 """Bit packing and popcount distances against per-bit reference loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusehash import pack_codes, packed_hamming, sign_to_pm1, unpack_codes
+from fusehash import load_codes, pack_codes, packed_hamming, sign_to_pm1, store_codes, unpack_codes
 from fusehash.exceptions import InvalidParameterError, ShapeError
+from fusehash.packing import CodeMatrix
 
 
 def naive_hamming(a, b):
@@ -25,6 +28,20 @@ class TestSignToPm1:
 
     def test_dtype_is_int8(self):
         assert sign_to_pm1(np.zeros((3, 4))).dtype == np.int8
+
+    def test_nan_maps_to_minus_one(self):
+        out = sign_to_pm1(np.array([np.nan, -np.inf, np.inf, -0.0]))
+        np.testing.assert_array_equal(out, [-1, -1, 1, 1])
+        assert out.dtype == np.int8
+
+    def test_no_wide_temporary(self):
+        """The result is built as int8; only the boolean mask is extra."""
+        values = np.random.default_rng(5).standard_normal((64, 4096))
+        tracemalloc.start()
+        sign_to_pm1(values)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 3 * values.size
 
 
 @st.composite
@@ -69,9 +86,75 @@ class TestPackUnpack:
         with pytest.raises(InvalidParameterError):
             pack_codes(np.array([[1, 0], [-1, 1]]))
 
+    def test_unpack_has_no_wide_temporary(self):
+        """Unpacking turns the unpacked bits into +-1 in place: one int8 (r, n) array."""
+        codes = sign_to_pm1(np.random.default_rng(6).standard_normal((64, 4096)))
+        packed = pack_codes(codes)
+        tracemalloc.start()
+        out = unpack_codes(packed, 64)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        np.testing.assert_array_equal(out, codes)
+        assert out.dtype == np.int8
+        assert peak <= 1.5 * codes.size
+
     def test_rejects_vectors(self):
         with pytest.raises(ShapeError):
             pack_codes(np.array([1, -1, 1]))
+
+
+class TestCodeMatrix:
+    """Matrices read by ``load_codes`` carry their packed bytes; derived arrays do not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(codes=sign_codes())
+    def test_carried_bytes_equal_a_fresh_pack(self, tmp_path_factory, codes):
+        path = tmp_path_factory.mktemp("carried") / "codes.amfh"
+        store_codes(codes, path)
+        loaded = load_codes(path)
+        assert isinstance(loaded, CodeMatrix) and loaded.dtype == np.int8
+        np.testing.assert_array_equal(loaded, codes)
+        assert loaded.packed.dtype == np.uint8
+        assert loaded.packed.tobytes() == pack_codes(np.array(loaded)).tobytes()
+        assert pack_codes(loaded) is loaded.packed
+
+    def test_derived_arrays_carry_nothing(self, tmp_path):
+        codes = sign_to_pm1(np.random.default_rng(4).standard_normal((13, 20)))
+        store_codes(codes, tmp_path / "codes.amfh")
+        loaded = load_codes(tmp_path / "codes.amfh")
+        derived = [
+            loaded[:, 3:11],
+            loaded[:9],
+            loaded[::-1],
+            loaded.T.T,
+            loaded.copy(),
+            loaded.astype(np.int8),
+            loaded * 1,
+            -loaded,
+            np.negative(loaded),
+            np.array(loaded),
+            np.asarray(loaded),
+        ]
+        for arr in derived:
+            assert getattr(arr, "packed", None) is None
+            plain = np.array(arr)
+            expected = np.packbits(plain > 0, axis=0, bitorder="little")
+            np.testing.assert_array_equal(pack_codes(arr), expected)
+            np.testing.assert_array_equal(pack_codes(arr), pack_codes(plain))
+        assert loaded[:, 0].packed is None
+
+    def test_loaded_matrix_cannot_be_written(self, tmp_path):
+        store_codes(np.ones((9, 4), dtype=np.int8), tmp_path / "codes.amfh")
+        loaded = load_codes(tmp_path / "codes.amfh")
+        with pytest.raises(ValueError):
+            loaded[0, 0] = -1
+        with pytest.raises(ValueError):
+            loaded[:, 1:2] *= -1
+        with pytest.raises(ValueError):
+            loaded.flags.writeable = True
+        with pytest.raises(ValueError):
+            loaded.packed[0, 0] = 0
+        np.testing.assert_array_equal(loaded, 1)
 
 
 class TestPackedHamming:

@@ -1,6 +1,8 @@
 """Binary file formats, CSV fallback, bundle directories."""
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -104,6 +106,14 @@ class TestFeatureFiles:
             load_features(path)
 
 
+def with_set_bit(path, offset, mask):
+    """Set bits of one payload byte and recompute the file's CRC-32."""
+    blob = bytearray(path.read_bytes())
+    blob[offset] |= mask
+    body = bytes(blob[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
 class TestCodeFiles:
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -129,6 +139,24 @@ class TestCodeFiles:
         with pytest.raises(InvalidParameterError):
             store_codes(np.zeros((4, 2), dtype=np.int8), tmp_path / "bad.amfh")
 
+    def test_set_padding_bit_rejected(self, tmp_path):
+        """r = 3 leaves five padding bits per byte; one set bit rejects the file."""
+        path = tmp_path / "codes.amfh"
+        store_codes(np.ones((3, 4), dtype=np.int8), path)
+        load_codes(path)
+        # 4 magic + 3 header + 8 code_length + 8 count, then one byte per column
+        with_set_bit(path, 23 + 2, 0x08)
+        with pytest.raises(CorruptFileError, match="padding"):
+            load_codes(path)
+
+    def test_highest_padding_bit_rejected(self, tmp_path):
+        path = tmp_path / "codes.amfh"
+        store_codes(-np.ones((13, 2), dtype=np.int8), path)
+        # two bytes per column; the second byte of the first column holds bits 8..15
+        with_set_bit(path, 23 + 1, 0x80)
+        with pytest.raises(CorruptFileError, match="padding"):
+            load_codes(path)
+
 
 class TestCenterFiles:
     def test_roundtrip_exact_table(self, tmp_path):
@@ -151,6 +179,16 @@ class TestCenterFiles:
         loaded = load_centers(path)
         np.testing.assert_array_equal(loaded.centers, table.centers)
         assert not loaded.is_exact
+
+    def test_set_padding_bit_rejected_in_centers(self, tmp_path):
+        table = build_center_table(12, 3, seed=0)
+        path = tmp_path / "centers.amfh"
+        store_centers(table, path)
+        load_centers(path)
+        # 4 magic + 3 header + four u64 + one u8, then two bytes per center
+        with_set_bit(path, 40 + 1, 0x10)
+        with pytest.raises(CorruptFileError, match="padding"):
+            load_centers(path)
 
 
 class TestModelFiles:
