@@ -6,17 +6,7 @@ data, handling missing modalities; packed-bit Hamming ranking and mAP close
 the retrieval loop. Everything is seeded and reproducible.
 """
 
-from .bench import (
-    AblationResult,
-    BenchCheck,
-    BenchReport,
-    format_benchmark,
-    retrieval_map,
-    run_ablation,
-    run_benchmark,
-    sweep_delta,
-    train_on_bundle,
-)
+from .bench import AblationResult, retrieval_map, run_ablation, sweep_delta, train_on_bundle
 from .centers import (
     CenterAudit,
     HashCenterTable,
@@ -57,7 +47,7 @@ from .exceptions import (
     ShapeError,
 )
 from .kernel import AnchorSet, apply_kernel, select_anchors
-from .packing import pack_codes, packed_hamming, sign_to_pm1, unpack_codes
+from .packing import pack_codes, sign_to_pm1, unpack_codes
 from .storage import (
     load_bundle,
     load_centers,
@@ -87,8 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationResult",
     "AnchorSet",
-    "BenchCheck",
-    "BenchReport",
     "CenterAudit",
     "CenterSeparationError",
     "CorruptFileError",
@@ -118,7 +106,6 @@ __all__ = [
     "encode_fixed",
     "encode_stream",
     "fit",
-    "format_benchmark",
     "format_report",
     "fuse_encode_fixed",
     "generate_synthetic",
@@ -134,13 +121,11 @@ __all__ = [
     "mean_average_precision",
     "objective",
     "pack_codes",
-    "packed_hamming",
     "precision_at_k",
     "report_key_values",
     "required_order",
     "retrieval_map",
     "run_ablation",
-    "run_benchmark",
     "select_anchors",
     "sign_to_pm1",
     "store_bundle",

@@ -2,19 +2,22 @@
 
 The helpers here wire the library stages together on a dataset bundle:
 train on the train split, encode the retrieval split with training weights,
-encode queries either fixed or adaptively, and score mAP. ``run_benchmark``
-replays the full acceptance checklist at desk scale and reports one
-pass/fail line per check.
+encode queries either fixed or adaptively, and score mAP.
+
+``CHECKS`` is the acceptance checklist: twelve seeded checks, each with its
+own independent oracle. ``fusehash bench`` runs it through
+``run_benchmark`` and ``tests/test_acceptance.py`` runs it under pytest.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centers import audit_centers, build_center_table, sylvester_hadamard
+from .centers import audit_centers, build_center_table, required_order
 from .encoding import (
     EncodeResult,
     FailedBatch,
@@ -33,7 +36,6 @@ from .training import (
     TrainedModel,
     fit,
     fuse_encode_fixed,
-    objective,
     update_projection,
     update_weights,
 )
@@ -175,7 +177,21 @@ def sweep_delta(
     return results
 
 
-# --- acceptance checks -------------------------------------------------
+# --- acceptance checklist ---------------------------------------------
+#
+# A check takes a seed, raises AssertionError naming what broke, and
+# otherwise returns a one-line summary. Failures are raised explicitly, not
+# with ``assert``, so that the checks still check under ``python -O``.
+
+
+@dataclass(frozen=True)
+class AcceptanceCheck:
+    """One acceptance criterion: its report label, check and time bound."""
+
+    name: str
+    check: Callable[[int], str]
+    bound: float | None = None  # wall-time bound in seconds
+
 
 @dataclass
 class BenchCheck:
@@ -194,6 +210,11 @@ class BenchReport:
         return all(check.passed for check in self.checks)
 
 
+def _expect(ok, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
+
+
 def _standard_bundle(seed: int, spread: float = 0.3) -> DatasetBundle:
     return generate_synthetic(
         SynthSpec(
@@ -206,331 +227,372 @@ def _standard_bundle(seed: int, spread: float = 0.3) -> DatasetBundle:
     )
 
 
-def _random_micro_model(rng, code_length: int, num_modalities: int) -> TrainedModel:
-    dims = rng.integers(3, 7, size=num_modalities)
-    num_anchors = int(rng.integers(3, 6))
-    weights = rng.uniform(0.2, 1.0, size=num_modalities)
-    weights /= weights.sum()
-    return TrainedModel(
-        projections=[
-            rng.standard_normal((code_length, num_anchors)) for _ in range(num_modalities)
-        ],
-        anchor_sets=[
-            AnchorSet(
-                anchors=rng.standard_normal((int(dims[m]), num_anchors)),
-                kernel_width=1.0,
-                modality_index=m,
+def _bit_distance(a, b) -> int:
+    """Per-coordinate disagreement count, no packing involved."""
+    return int(np.sum(np.asarray(a) != np.asarray(b)))
+
+
+def _pairwise_center_distances(table) -> list[int]:
+    centers = table.centers
+    return [
+        _bit_distance(centers[:, i], centers[:, j])
+        for i in range(centers.shape[1])
+        for j in range(i + 1, centers.shape[1])
+    ]
+
+
+def _simplex_grid_min(squares, step: float = 1e-3) -> float:
+    """Exhaustive simplex grid minimum of sum(squares / weights), M = 2 or 3."""
+    squares = np.asarray(squares, dtype=np.float64)
+    ticks = np.arange(step, 1.0, step)
+    if squares.shape[0] == 2:
+        return float(np.min(squares[0] / ticks + squares[1] / (1.0 - ticks)))
+    best = np.inf
+    for a in ticks:
+        bs = np.arange(step, 1.0 - a, step)
+        cs = 1.0 - a - bs
+        keep = cs > step / 2
+        if np.any(keep):
+            values = squares[0] / a + squares[1] / bs[keep] + squares[2] / cs[keep]
+            best = min(best, float(values.min()))
+    return best
+
+
+def _naive_ap(relevance) -> float:
+    hits, total = 0, 0.0
+    for rank, relevant in enumerate(relevance, start=1):
+        if relevant:
+            hits += 1
+            total += hits / rank
+    return total / hits if hits else 0.0
+
+
+def c01_hadamard_center_distances_exact(seed: int) -> str:
+    """Exact tables: every center pair differs on exactly half the bits."""
+    covered = 0
+    for code_length in (8, 16, 32, 64, 128):
+        for num_categories in (2, 10, 20, 81):
+            if required_order(code_length, num_categories) != code_length:
+                continue  # re-dimensioned, checked by c02
+            covered += 1
+            table = build_center_table(code_length, num_categories, seed=seed)
+            where = f"r={code_length} C={num_categories}"
+            _expect(table.is_exact, f"{where}: table is not exact")
+            distances = _pairwise_center_distances(table)
+            _expect(
+                distances == [code_length // 2] * len(distances),
+                f"{where}: pair distances {sorted(set(distances))}, want {code_length // 2}",
             )
-            for m in range(num_modalities)
-        ],
-        train_weights=weights,
-        delta=1e-3,
-        code_length=code_length,
+    _expect(covered == 13, f"{covered} exact grid points, want 13")
+    return "every pair of 13 exact tables at distance r/2"
+
+
+def c02_redimensioned_center_distance_band(seed: int) -> str:
+    """LSH re-dimensioning keeps each table's mean distance near half the bits."""
+    code_length, num_categories = 48, 20
+    low, high = 0.45 * code_length, 0.55 * code_length
+    means = []
+    for table_seed in range(seed, seed + 20):
+        table = build_center_table(code_length, num_categories, seed=table_seed)
+        _expect(not table.is_exact, f"seed {table_seed}: table is exact")
+        _expect(audit_centers(table).passed, f"seed {table_seed}: audit failed")
+        means.append(float(np.mean(_pairwise_center_distances(table))))
+        _expect(
+            low <= means[-1] <= high,
+            f"seed {table_seed}: mean distance {means[-1]:.2f} outside [{low:.1f}, {high:.1f}]",
+        )
+    return (
+        f"mean distances {min(means):.2f}..{max(means):.2f} over 20 seeds, "
+        f"band [{low:.1f}, {high:.1f}]"
     )
 
 
-def enumerate_code_objectives(projected: list[np.ndarray], weights) -> np.ndarray:
-    """Exact objective of every candidate sign matrix, entry order C-flattened.
+def c03_projection_solve_gradient_and_descent_oracle(seed: int) -> str:
+    """The ridge solve is stationary and matches an L-BFGS optimizer."""
+    # Imported here: scipy.optimize is heavy, and ``import fusehash`` loads
+    # this module.
+    from scipy.optimize import minimize
 
-    The objective is separable per entry, so the 2^(r*n) candidates are
-    materialized as broadcast sums of per-byte cost tables; element v of the
-    result is the objective of the code whose bits are v's binary digits,
-    LSB first. Total bit count is capped at 24.
-    """
-    num_entries = projected[0].size
-    if num_entries > 24:
-        raise FusehashError(f"enumeration capped at 24 bits, got {num_entries}")
-    cost_pos = np.zeros(num_entries)
-    cost_neg = np.zeros(num_entries)
-    for scores, weight in zip(projected, weights):
-        flat = scores.reshape(-1)
-        cost_pos += (1.0 - flat) ** 2 / weight
-        cost_neg += (-1.0 - flat) ** 2 / weight
-    num_bytes = (num_entries + 7) // 8
-    pad = num_bytes * 8 - num_entries
-    cost_pos = np.concatenate([cost_pos, np.zeros(pad)])
-    cost_neg = np.concatenate([cost_neg, np.zeros(pad)])
-    bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1  # (256, 8)
-    tables = []
-    for t in range(num_bytes):
-        pos = cost_pos[t * 8 : (t + 1) * 8]
-        neg = cost_neg[t * 8 : (t + 1) * 8]
-        tables.append(bits @ pos + (1 - bits) @ neg)
-    values = tables[0]
-    for table in tables[1:]:
-        values = values[..., None] + table  # new trailing axis per byte
-    return values.reshape(-1)
+    rng = np.random.default_rng(seed + 100)
+    worst_grad = worst_gap = 0.0
+    for _ in range(50):
+        r = int(rng.integers(1, 9))
+        p = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 13))
+        num_modalities = int(rng.integers(1, 4))
+        targets = sign_to_pm1(rng.standard_normal((r, n))).astype(np.float64)
+        target_norm = max(np.linalg.norm(targets), 1.0)
+        delta = float(rng.uniform(1e-3, 1e-1))
+        for _ in range(num_modalities):
+            feats = rng.standard_normal((p, n))
+            weight = float(rng.uniform(0.2, 0.8))
+            closed = update_projection(targets, feats, weight=weight, delta=delta)
+
+            grad = (2.0 / weight) * (closed @ feats - targets) @ feats.T
+            grad += 2.0 * delta * closed
+            worst_grad = max(worst_grad, float(np.max(np.abs(grad))) / target_norm)
+            _expect(worst_grad < 1e-6, f"gradient ratio {worst_grad:.2e}, bound 1e-6")
+
+            def fun(flat):
+                proj = flat.reshape(r, p)
+                resid = proj @ feats - targets
+                value = np.sum(resid**2) / weight + delta * np.sum(proj**2)
+                g = (2.0 / weight) * resid @ feats.T + 2.0 * delta * proj
+                return value, g.ravel()
+
+            numeric = minimize(
+                fun,
+                np.zeros(r * p),
+                jac=True,
+                method="L-BFGS-B",
+                options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 5000},
+            )
+            worst_gap = max(worst_gap, float(np.linalg.norm(closed - numeric.x.reshape(r, p))))
+            _expect(worst_gap < 1e-5, f"L-BFGS solution {worst_gap:.2e} away, bound 1e-5")
+    return (
+        f"worst gradient ratio {worst_grad:.2e} (bound 1e-6), "
+        f"worst gap to L-BFGS {worst_gap:.2e} (bound 1e-5)"
+    )
 
 
-def _check(name: str, fn) -> BenchCheck:
+def c04_weight_solve_beats_simplex_grid(seed: int) -> str:
+    """No point of a fine simplex grid improves on the closed-form weights."""
+    rng = np.random.default_rng(seed + 200)
+    for num_modalities in (2, 3):
+        for _ in range(5):
+            norms = rng.uniform(0.1, 4.0, size=num_modalities)
+            squares = norms**2
+            closed = float(np.sum(squares / update_weights(norms)))
+            grid = _simplex_grid_min(squares)
+            _expect(
+                closed <= grid,
+                f"M={num_modalities}: closed form {closed:.9f} above grid minimum {grid:.9f}",
+            )
+    return "closed-form weights at or below every simplex grid point, M=2 and 3"
+
+
+def c05_weighted_sum_grid_matches_squared_norm_sum(seed: int) -> str:
+    """The grid minimum lands on (sum of norms)^2, the analytic optimum."""
+    rng = np.random.default_rng(seed + 300)
+    worst = 0.0
+    for num_modalities in (2, 3):
+        for _ in range(5):
+            norms = rng.uniform(0.1, 4.0, size=num_modalities)
+            target = float(np.sum(norms) ** 2)
+            worst = max(worst, abs(_simplex_grid_min(norms**2) - target) / target)
+            _expect(worst <= 1e-3, f"M={num_modalities}: relative gap {worst:.2e}, bound 1e-3")
+    return f"worst relative gap {worst:.2e} over M=2 and 3, bound 1e-3"
+
+
+def c06_training_converges_quickly(seed: int) -> str:
+    """On the standard bundle the trace is monotone and settles fast."""
+    model, _ = train_on_bundle(_standard_bundle(seed), 16, seed=seed)
+    trace = np.asarray(model.objective_trace)
+    _expect(
+        np.all(np.diff(trace) <= 1e-9 * np.abs(trace[:-1])),
+        f"objective rose: trace {trace.tolist()}",
+    )
+    _expect(model.converged, "training did not converge")
+    _expect(len(trace) <= 10, f"{len(trace)} iterations, bound 10")
+    last_step = abs(trace[-1] - trace[-2])
+    _expect(
+        last_step < 1e-5 * abs(trace[-2]),
+        f"last step {last_step:.3g} above 1e-5 of the objective {trace[-2]:.6g}",
+    )
+    return f"converged in {len(trace)} iterations, last step {last_step:.3g}"
+
+
+def c07_end_to_end_retrieval_quality(seed: int) -> str:
+    """Train, encode, evaluate: high mAP, and a perfect score at spread 0."""
+    scores = []
+    for spread in (0.3, 0.0):
+        bundle = _standard_bundle(seed, spread)
+        model, _ = train_on_bundle(bundle, 16, seed=seed)
+        scores.append(retrieval_map(model, bundle))
+    score, clean_score = scores
+    _expect(score >= 0.95, f"spread 0.3 mAP {score:.4f} below 0.95")
+    _expect(clean_score == 1.0, f"spread 0 mAP {clean_score:.4f}, want 1.0")
+    return f"mAP {score:.4f} at spread 0.3, {clean_score:.4f} at spread 0"
+
+
+def c08_adaptive_beats_fixed_on_noisy_stream(seed: int) -> str:
+    """Per-batch weights track the corrupted modality and do not hurt mAP."""
+    # Wider clusters than c07: with fully separable data both modes score
+    # 1.0 and the comparison is vacuous.
+    bundle = _standard_bundle(seed, spread=1.0)
+    model, _ = train_on_bundle(bundle, 16, seed=seed)
+    result = run_ablation(model, bundle, batch_size=10, seed=seed)
+    detail = (
+        f"adaptive {result.adaptive_map:.4f} vs fixed {result.fixed_map:.4f}, "
+        f"noisy modality tracked in {result.tracking_fraction:.0%} of batches"
+    )
+    _expect(result.adaptive_map >= result.fixed_map, detail)
+    _expect(result.tracking_fraction >= 0.9, detail)
+    return detail
+
+
+def c09_encoding_reaches_joint_fixed_point(seed: int) -> str:
+    """Returned codes and weights solve each other's subproblem, and the
+    codes beat every one of the 2^24 alternatives at the final weights."""
+    rng = np.random.default_rng(seed + 400)
+    code_length, batch_size = 8, 3
+    column_patterns = np.array(
+        [[1 if (idx >> bit) & 1 else -1 for bit in range(code_length)]
+         for idx in range(2**code_length)],
+        dtype=np.float64,
+    )  # (256, 8), every possible code column
+    for trial in range(20):
+        dims = [int(rng.integers(3, 7)) for _ in range(2)]
+        num_anchors = int(rng.integers(3, 6))
+        weights = rng.uniform(0.2, 1.0, size=2)
+        model = TrainedModel(
+            projections=[rng.standard_normal((code_length, num_anchors)) for _ in range(2)],
+            anchor_sets=[
+                AnchorSet(anchors=rng.standard_normal((dims[m], num_anchors)), kernel_width=1.0)
+                for m in range(2)
+            ],
+            train_weights=weights / weights.sum(),
+            delta=1e-3,
+            code_length=code_length,
+        )
+        batch = QueryBatch(
+            features=[rng.standard_normal((dims[m], batch_size)) for m in range(2)]
+        )
+        result = encode_adaptive(model, batch)
+        codes = result.codes.astype(np.float64)
+        mu = result.dynamic_weights
+        projected = [
+            model.projections[m] @ apply_kernel(batch.features[m], model.anchor_sets[m])
+            for m in range(2)
+        ]
+
+        # code subproblem: sign of the weight-fused projections
+        fused = projected[0] / mu[0] + projected[1] / mu[1]
+        _expect(
+            np.array_equal(codes, np.where(fused >= 0, 1.0, -1.0)),
+            f"trial {trial}: codes are not the sign of the fused projections",
+        )
+
+        # weight subproblem: normalized residual norms at the codes
+        norms = np.array([np.linalg.norm(codes - p) for p in projected])
+        _expect(
+            np.allclose(mu, norms / norms.sum(), rtol=1e-7, atol=1e-12),
+            f"trial {trial}: weights {mu} are not the normalized residual norms",
+        )
+
+        # the objective of every possible code matrix, column costs combined
+        # over all 256^3 = 2^24 combinations
+        column_costs = []
+        for j in range(batch_size):
+            gaps = [column_patterns - p[:, j] for p in projected]
+            column_costs.append(
+                (gaps[0] ** 2).sum(axis=1) / mu[0] + (gaps[1] ** 2).sum(axis=1) / mu[1]
+            )
+        every_objective = (
+            column_costs[0][:, None, None]
+            + column_costs[1][None, :, None]
+            + column_costs[2][None, None, :]
+        )
+        returned = sum(((codes - p) ** 2).sum() / w for p, w in zip(projected, mu))
+        best = float(every_objective.min())
+        _expect(
+            returned <= best + 1e-9,
+            f"trial {trial}: objective {returned:.9f} above enumerated minimum {best:.9f}",
+        )
+    return "20 batches at joint fixed points, codes optimal among all 2^24"
+
+
+def c10_evaluator_exactness(seed: int) -> str:
+    """AP formula, naive-oracle agreement, and the random-code baseline."""
+    value = average_precision([1, 0, 1], 3)
+    _expect(abs(value - 5.0 / 6.0) < 1e-12, f"AP([1,0,1], 3) = {value}, want 0.8333…")
+
+    rng = np.random.default_rng(seed + 500)
+    for _ in range(5):
+        db = sign_to_pm1(rng.standard_normal((12, 30)))
+        db_labels = [{int(rng.integers(0, 3))} for _ in range(30)]
+        queries = sign_to_pm1(rng.standard_normal((12, 5)))
+        query_labels = [{int(rng.integers(0, 3))} for _ in range(5)]
+        report = mean_average_precision(queries, query_labels, db, db_labels)
+        aps = []
+        for q in range(5):
+            dists = [_bit_distance(queries[:, q], db[:, j]) for j in range(30)]
+            order = sorted(range(30), key=lambda j: (dists[j], j))
+            aps.append(_naive_ap([db_labels[j] & query_labels[q] for j in order]))
+        gap = abs(report.map - float(np.mean(aps)))
+        _expect(gap < 1e-12, f"mAP deviates from the naive oracle by {gap:.2e}")
+
+    db = sign_to_pm1(rng.standard_normal((16, 500)))
+    queries = sign_to_pm1(rng.standard_normal((16, 100)))
+    random_map = mean_average_precision(
+        queries, [{q % 2} for q in range(100)], db, [{j % 2} for j in range(500)]
+    ).map
+    _expect(abs(random_map - 0.5) <= 0.05, f"random 2-class mAP {random_map:.4f}, band 0.5 ± 0.05")
+    return f"naive-oracle mAP agrees; random 2-class mAP {random_map:.4f}, band 0.5 ± 0.05"
+
+
+def c11_missing_modality_single_projection_identity(seed: int) -> str:
+    """With one modality absent the code is the other's projection sign."""
+    bundle = _standard_bundle(seed)
+    model, _ = train_on_bundle(bundle, 16, seed=seed)
+    feats = bundle.features_at(bundle.query_indices)
+    for present in (0, 1):
+        features = [None, None]
+        features[present] = feats[present]
+        batch = QueryBatch(features=features)
+        scores = model.projections[present] @ apply_kernel(
+            feats[present], model.anchor_sets[present]
+        )
+        want = np.where(scores >= 0, 1, -1)
+        for encode in (encode_adaptive, encode_fixed):
+            result = encode(model, batch)
+            where = f"{encode.__name__} with only modality {present}"
+            _expect(np.array_equal(result.codes, want), f"{where}: codes differ from sgn(W phi)")
+            _expect(result.dynamic_weights[1 - present] == 0.0, f"{where}: absent weight nonzero")
+    return "codes equal sgn(W phi) bit for bit, either modality alone, both encoders"
+
+
+def c12_delta_sweep_stability(seed: int) -> str:
+    """Retrieval quality barely moves across four decades of ridge strength."""
+    scores = [score for _, score in sweep_delta(_standard_bundle(seed), 16, seed=seed)]
+    spread = max(scores) - min(scores)
+    _expect(spread < 0.05, f"mAP range {spread:.4f} over deltas {DELTA_SWEEP}, bound 0.05")
+    return f"mAP range {spread:.4f} over deltas {DELTA_SWEEP}, bound 0.05"
+
+
+CHECKS = (
+    AcceptanceCheck("hadamard-center-distances", c01_hadamard_center_distances_exact, 1.0),
+    AcceptanceCheck("lsh-redimensioned-distances", c02_redimensioned_center_distance_band, 5.0),
+    AcceptanceCheck("projection-closed-form", c03_projection_solve_gradient_and_descent_oracle),
+    AcceptanceCheck("weight-closed-form", c04_weight_solve_beats_simplex_grid),
+    AcceptanceCheck("fused-residual-identity", c05_weighted_sum_grid_matches_squared_norm_sum),
+    AcceptanceCheck("training-convergence", c06_training_converges_quickly, 10.0),
+    AcceptanceCheck("end-to-end-retrieval", c07_end_to_end_retrieval_quality, 30.0),
+    AcceptanceCheck("adaptive-vs-fixed-ablation", c08_adaptive_beats_fixed_on_noisy_stream),
+    AcceptanceCheck("encoding-fixed-point", c09_encoding_reaches_joint_fixed_point, 60.0),
+    AcceptanceCheck("evaluator-exactness", c10_evaluator_exactness),
+    AcceptanceCheck("missing-modality-rule", c11_missing_modality_single_projection_identity),
+    AcceptanceCheck("delta-sensitivity", c12_delta_sweep_stability),
+)
+
+
+def _check(entry: AcceptanceCheck, seed: int) -> BenchCheck:
     start = time.perf_counter()
     try:
-        passed, detail = fn()
+        passed, detail = True, entry.check(seed)
+    except AssertionError as exc:
+        passed, detail = False, " ".join(str(exc).split())
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return BenchCheck(name, passed, detail, time.perf_counter() - start)
+    seconds = time.perf_counter() - start
+    if passed and entry.bound is not None and seconds >= entry.bound:
+        passed, detail = False, f"{detail}; ran {seconds:.1f}s, bound {entry.bound:.0f}s"
+    return BenchCheck(entry.name, passed, detail, seconds)
 
 
 def run_benchmark(seed: int = 0) -> BenchReport:
-    """Desk-scale rerun of the full acceptance checklist."""
-    report = BenchReport()
-    add = report.checks.append
-
-    def c01():
-        for bits in (8, 16, 32, 64, 128):
-            for classes in (2, 10, 20, 81):
-                if classes > bits:
-                    continue  # redimensioned path, covered by the next check
-                matrix = sylvester_hadamard(bits)
-                centers = matrix[:, :classes].astype(np.int8)
-                for i in range(classes):
-                    for j in range(i + 1, classes):
-                        distance = int((centers[:, i] != centers[:, j]).sum())
-                        if distance != bits // 2:
-                            return False, (
-                                f"bits={bits} classes={classes}: pair ({i},{j}) "
-                                f"at distance {distance}, want {bits // 2}"
-                            )
-        return True, "all exact-order center pairs at distance r/2"
-
-    def c02():
-        means = []
-        for s in range(20):
-            table = build_center_table(48, 20, seed=seed + s)
-            audit = audit_centers(table)
-            if not audit.passed:
-                return False, f"seed {seed + s} produced a failing table"
-            means.append(audit.average_distance)
-        mean = float(np.mean(means))
-        low, high = 0.45 * 48, 0.55 * 48
-        ok = low <= mean <= high
-        return ok, f"mean distance {mean:.2f}, band [{low:.1f}, {high:.1f}]"
-
-    def c03():
-        rng = np.random.default_rng(seed)
-        worst_grad = 0.0
-        for _ in range(50):
-            code_length = int(rng.integers(2, 9))
-            num_anchors = int(rng.integers(2, 7))
-            n = int(rng.integers(num_anchors, 13))
-            targets = sign_to_pm1(rng.standard_normal((code_length, n))).astype(float)
-            feats = rng.standard_normal((num_anchors, n))
-            weight = float(rng.uniform(0.2, 1.0))
-            delta = float(10 ** rng.uniform(-3, -1))
-            solution = update_projection(targets, feats, weight, delta)
-            grad = (2.0 / weight) * (solution @ feats - targets) @ feats.T
-            grad += 2.0 * delta * solution
-            scale = np.linalg.norm(targets)
-            worst_grad = max(worst_grad, float(np.abs(grad).max()) / scale)
-        ok = worst_grad < 1e-6
-        return ok, f"worst gradient ratio {worst_grad:.2e}, bound 1e-6"
-
-    def c04():
-        rng = np.random.default_rng(seed + 1)
-        for num in (2, 3):
-            for _ in range(5):
-                norms = rng.uniform(0.1, 5.0, size=num)
-                closed = update_weights(norms)
-                closed_value = float((norms**2 / closed).sum())
-                grid_value = _simplex_grid_min(norms, step=1e-3)
-                if closed_value > grid_value:
-                    return False, (
-                        f"closed form {closed_value:.9f} above grid "
-                        f"minimum {grid_value:.9f} for M={num}"
-                    )
-        return True, "closed-form weights at or below every simplex grid point"
-
-    def c05():
-        rng = np.random.default_rng(seed + 2)
-        worst = 0.0
-        for _ in range(5):
-            norms = rng.uniform(0.1, 5.0, size=2)
-            grid_value = _simplex_grid_min(norms, step=1e-3)
-            target = float(norms.sum() ** 2)
-            worst = max(worst, abs(grid_value - target) / target)
-        ok = worst < 1e-3
-        return ok, f"worst relative gap {worst:.2e}, bound 1e-3"
-
-    def c06():
-        bundle = _standard_bundle(seed)
-        model, _ = train_on_bundle(bundle, 16, seed=seed)
-        trace = model.objective_trace
-        for earlier, later in zip(trace, trace[1:]):
-            if later > earlier * (1 + 1e-9):
-                return False, f"objective rose from {earlier} to {later}"
-        ok = model.converged and len(trace) <= 10
-        return ok, f"converged={model.converged} in {len(trace)} iterations"
-
-    def c07():
-        bundle = _standard_bundle(seed)
-        model, _ = train_on_bundle(bundle, 16, seed=seed)
-        score = retrieval_map(model, bundle, mode="adaptive")
-        if score < 0.95:
-            return False, f"spread 0.3 mAP {score:.4f} below 0.95"
-        clean = _standard_bundle(seed, spread=0.0)
-        clean_model, _ = train_on_bundle(clean, 16, seed=seed)
-        clean_score = retrieval_map(clean_model, clean, mode="adaptive")
-        ok = clean_score == 1.0
-        return ok, f"mAP {score:.4f} at spread 0.3, {clean_score:.4f} at spread 0"
-
-    def c08():
-        # Wider clusters than the retrieval check: with fully separable
-        # data both modes score 1.0 and the comparison is vacuous.
-        bundle = _standard_bundle(seed, spread=1.0)
-        model, _ = train_on_bundle(bundle, 16, seed=seed)
-        result = run_ablation(model, bundle, batch_size=10, seed=seed)
-        ok = (
-            result.adaptive_map >= result.fixed_map
-            and result.tracking_fraction >= 0.9
-        )
-        return ok, (
-            f"adaptive {result.adaptive_map:.4f} vs fixed {result.fixed_map:.4f}, "
-            f"noisy modality tracked in {result.tracking_fraction:.0%} of batches"
-        )
-
-    def c09():
-        rng = np.random.default_rng(seed + 3)
-        for trial in range(20):
-            model = _random_micro_model(rng, code_length=8, num_modalities=2)
-            batch = QueryBatch(
-                features=[
-                    rng.standard_normal((model.anchor_sets[m].anchors.shape[0], 2))
-                    for m in range(2)
-                ]
-            )
-            result = encode_adaptive(model, batch)
-            projected = [
-                model.projections[m]
-                @ apply_kernel(batch.features[m], model.anchor_sets[m])
-                for m in range(2)
-            ]
-            fused = sum(p / w for p, w in zip(projected, result.dynamic_weights))
-            if not np.array_equal(sign_to_pm1(fused), result.codes):
-                return False, f"trial {trial}: code fixed point violated"
-            norms = np.array(
-                [np.linalg.norm(result.codes - p) for p in projected]
-            )
-            expected = norms / norms.sum()
-            if not np.allclose(expected, result.dynamic_weights, atol=1e-9):
-                return False, f"trial {trial}: weight fixed point violated"
-            returned = sum(
-                (n**2) / w for n, w in zip(norms, result.dynamic_weights)
-            )
-            best = enumerate_code_objectives(projected, result.dynamic_weights).min()
-            if returned > best * (1 + 1e-9):
-                return False, (
-                    f"trial {trial}: returned objective {returned:.9f} above "
-                    f"enumerated minimum {best:.9f}"
-                )
-        return True, "20 micro-batches at joint fixed points, codes enumeration-optimal"
-
-    def c10():
-        value = average_precision([1, 0, 1], 3)
-        if abs(value - 5.0 / 6.0) > 1e-12:
-            return False, f"AP([1,0,1], 3) = {value}, want 0.8333…"
-        rng = np.random.default_rng(seed + 4)
-        for _ in range(5):
-            gap = _map_vs_naive_gap(rng)
-            if gap > 1e-12:
-                return False, f"mAP deviates from the naive oracle by {gap:.2e}"
-        rand_map = _random_codes_map(np.random.default_rng(seed + 5))
-        ok = abs(rand_map - 0.5) <= 0.05
-        return ok, f"random 2-class mAP {rand_map:.4f}, band 0.5 +/- 0.05"
-
-    def c11():
-        bundle = _standard_bundle(seed)
-        model, _ = train_on_bundle(bundle, 16, seed=seed)
-        feats = bundle.features_at(bundle.query_indices)
-        solo = encode_adaptive(model, QueryBatch(features=[feats[0], None]))
-        expected = sign_to_pm1(
-            model.projections[0] @ apply_kernel(feats[0], model.anchor_sets[0])
-        )
-        ok = np.array_equal(solo.codes, expected) and solo.dynamic_weights[1] == 0.0
-        return ok, "single-present-modality codes match sgn(W phi) bit for bit"
-
-    def c12():
-        bundle = _standard_bundle(seed)
-        scores = [score for _, score in sweep_delta(bundle, 16, seed=seed)]
-        spread = max(scores) - min(scores)
-        ok = spread < 0.05
-        return ok, f"mAP range {spread:.4f} over deltas {DELTA_SWEEP}, bound 0.05"
-
-    names_and_bounds = [
-        ("hadamard-center-distances", c01, 1.0),
-        ("lsh-redimensioned-distances", c02, 5.0),
-        ("projection-closed-form", c03, None),
-        ("weight-closed-form", c04, None),
-        ("fused-residual-identity", c05, None),
-        ("training-convergence", c06, 10.0),
-        ("end-to-end-retrieval", c07, 30.0),
-        ("adaptive-vs-fixed-ablation", c08, None),
-        ("encoding-fixed-point", c09, 60.0),
-        ("evaluator-exactness", c10, None),
-        ("missing-modality-rule", c11, None),
-        ("delta-sensitivity", c12, None),
-    ]
-    for name, fn, bound in names_and_bounds:
-        check = _check(name, fn)
-        if check.passed and bound is not None and check.seconds >= bound:
-            check.passed = False
-            check.detail += f"; ran {check.seconds:.1f}s, bound {bound:.0f}s"
-        add(check)
-    return report
-
-
-def _simplex_grid_min(norms, step: float) -> float:
-    """Smallest sum((norms^2)/mu) over a step-spaced grid of the simplex."""
-    squared = np.asarray(norms, dtype=np.float64) ** 2
-    ticks = np.arange(step, 1.0, step)
-    if squared.shape[0] == 2:
-        values = squared[0] / ticks + squared[1] / (1.0 - ticks)
-        return float(values.min())
-    if squared.shape[0] == 3:
-        a = ticks[:, None]
-        b = ticks[None, :]
-        c = 1.0 - a - b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = squared[0] / a + squared[1] / b + squared[2] / c
-            values = np.where(c > step / 2, values, np.inf)
-        return float(values.min())
-    raise FusehashError("grid oracle implemented for 2 or 3 weights only")
-
-
-def _map_vs_naive_gap(rng) -> float:
-    """Absolute mAP gap between the evaluator and a scalar reimplementation."""
-    code_length, num_db = 8, 12
-    db_codes = sign_to_pm1(rng.standard_normal((code_length, num_db)))
-    query_codes = sign_to_pm1(rng.standard_normal((code_length, 5)))
-    db_labels = [{int(rng.integers(0, 3))} for _ in range(num_db)]
-    query_labels = [{int(rng.integers(0, 3))} for _ in range(5)]
-    report = mean_average_precision(query_codes, query_labels, db_codes, db_labels)
-
-    aps = []
-    for i in range(5):
-        distances = [
-            sum(
-                1
-                for bit in range(code_length)
-                if query_codes[bit, i] != db_codes[bit, j]
-            )
-            for j in range(num_db)
-        ]
-        order = sorted(range(num_db), key=lambda j: (distances[j], j))
-        hits, precision_sum = 0, 0.0
-        for rank, j in enumerate(order, start=1):
-            if query_labels[i] & db_labels[j]:
-                hits += 1
-                precision_sum += hits / rank
-        aps.append(precision_sum / hits if hits else 0.0)
-    return abs(report.map - float(np.mean(aps)))
-
-
-def _random_codes_map(rng) -> float:
-    code_length, per_class = 16, 150
-    codes = sign_to_pm1(rng.standard_normal((code_length, 2 * per_class)))
-    labels = [{0}] * per_class + [{1}] * per_class
-    report = mean_average_precision(codes, labels, codes, labels)
-    return report.map
+    """Run every check of ``CHECKS`` at ``seed``; one result per check."""
+    return BenchReport([_check(entry, seed) for entry in CHECKS])
 
 
 def format_benchmark(report: BenchReport) -> str:

@@ -9,7 +9,7 @@ the objective never increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -68,6 +68,14 @@ class TrainedModel:
     code_length: int
     objective_trace: list[float] = field(default_factory=list)
     converged: bool = True
+
+    def __post_init__(self):
+        # An anchor set's modality is its position here; errors name it from
+        # the set, so a hand-built set keeps no stale default index.
+        self.anchor_sets = [
+            s if s.modality_index == m else replace(s, modality_index=m)
+            for m, s in enumerate(self.anchor_sets)
+        ]
 
     @property
     def num_modalities(self) -> int:

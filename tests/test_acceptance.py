@@ -1,391 +1,33 @@
-"""Acceptance checklist: one test per shipped guarantee.
+"""Acceptance checklist: one test per entry of ``fusehash.bench.CHECKS``.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line
-per criterion. Every check carries its own oracle: distances are recounted
-bit by bit, closed forms race an iterative optimizer or an explicit grid,
-and encoder outputs are compared against exhaustive enumeration.
+per criterion, c01 to c12. The checks and their oracles live in
+``fusehash.bench``, and ``fusehash bench`` runs the same registry. Here every
+check runs at seed 11, the seed of the conftest fixtures; ``test_cli`` runs
+``fusehash bench --seed 0``.
 """
 
 import time
 
-import numpy as np
-from scipy.optimize import minimize
+from fusehash.bench import CHECKS
 
-from fusehash import (
-    QueryBatch,
-    SynthSpec,
-    TrainConfig,
-    TrainedModel,
-    AnchorSet,
-    apply_kernel,
-    audit_centers,
-    average_precision,
-    build_center_table,
-    encode_adaptive,
-    encode_fixed,
-    fit,
-    fuse_encode_fixed,
-    generate_synthetic,
-    make_noisy_stream,
-    mean_average_precision,
-    required_order,
-    sign_to_pm1,
-    store_bundle,
-    update_projection,
-    update_weights,
-)
-from fusehash.cli import main as cli_main
-
-CODE_LENGTHS = (8, 16, 32, 64, 128)
-CATEGORY_COUNTS = (2, 10, 20, 81)
+SEED = 11
 
 
-def bitwise_distance(a, b):
-    """Per-coordinate disagreement count, no packing involved."""
-    return int(np.sum(np.asarray(a) != np.asarray(b)))
-
-
-def pairwise_center_distances(table):
-    centers = table.centers
-    return [
-        bitwise_distance(centers[:, i], centers[:, j])
-        for i in range(centers.shape[1])
-        for j in range(i + 1, centers.shape[1])
-    ]
-
-
-def simplex_grid_min(squares, step=1e-3):
-    """Exhaustive simplex grid minimum of sum(squares / weights)."""
-    squares = np.asarray(squares, dtype=np.float64)
-    ticks = np.arange(step, 1.0, step)
-    if squares.shape[0] == 2:
-        return float(np.min(squares[0] / ticks + squares[1] / (1.0 - ticks)))
-    assert squares.shape[0] == 3
-    best = np.inf
-    for a in ticks:
-        bs = np.arange(step, 1.0 - a, step)
-        cs = 1.0 - a - bs
-        keep = cs > step / 2
-        if not np.any(keep):
-            continue
-        values = squares[0] / a + squares[1] / bs[keep] + squares[2] / cs[keep]
-        best = min(best, float(values.min()))
-    return best
-
-
-def naive_ap(relevance, cutoff):
-    hits = 0
-    total = 0.0
-    for rank in range(1, cutoff + 1):
-        if relevance[rank - 1]:
-            hits += 1
-            total += hits / rank
-    return total / hits if hits else 0.0
-
-
-def test_c01_hadamard_center_distances_exact():
-    """Exact tables: every center pair differs on exactly half the bits."""
-    start = time.perf_counter()
-    covered = 0
-    for code_length in CODE_LENGTHS:
-        for num_categories in CATEGORY_COUNTS:
-            if required_order(code_length, num_categories) != code_length:
-                continue
-            covered += 1
-            table = build_center_table(code_length, num_categories, seed=0)
-            assert table.is_exact
-            distances = pairwise_center_distances(table)
-            assert distances == [code_length // 2] * len(distances)
-    assert covered == 13  # the grid points where no re-dimensioning happens
-    assert time.perf_counter() - start < 1.0
-
-
-def test_c02_redimensioned_center_distance_band():
-    """LSH re-dimensioning keeps the mean distance near half the bits."""
-    start = time.perf_counter()
-    code_length, num_categories = 48, 20
-    for seed in range(20):
-        table = build_center_table(code_length, num_categories, seed=seed)
-        assert not table.is_exact
-        assert audit_centers(table).passed
-        mean = np.mean(pairwise_center_distances(table))
-        assert 0.45 * code_length <= mean <= 0.55 * code_length
-    assert time.perf_counter() - start < 5.0
-
-
-def test_c03_projection_solve_gradient_and_descent_oracle():
-    """The ridge solve is stationary and matches an L-BFGS optimizer."""
-    rng = np.random.default_rng(100)
-    for _ in range(50):
-        r = int(rng.integers(1, 9))
-        p = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 13))
-        num_modalities = int(rng.integers(1, 4))
-        targets = sign_to_pm1(rng.standard_normal((r, n))).astype(np.float64)
-        target_norm = max(np.linalg.norm(targets), 1.0)
-        delta = float(rng.uniform(1e-3, 1e-1))
-        for _ in range(num_modalities):
-            feats = rng.standard_normal((p, n))
-            weight = float(rng.uniform(0.2, 0.8))
-            closed = update_projection(targets, feats, weight=weight, delta=delta)
-
-            grad = (2.0 / weight) * (closed @ feats - targets) @ feats.T
-            grad += 2.0 * delta * closed
-            assert np.max(np.abs(grad)) < 1e-6 * target_norm
-
-            def fun(flat):
-                proj = flat.reshape(r, p)
-                resid = proj @ feats - targets
-                value = np.sum(resid**2) / weight + delta * np.sum(proj**2)
-                g = (2.0 / weight) * resid @ feats.T + 2.0 * delta * proj
-                return value, g.ravel()
-
-            numeric = minimize(
-                fun,
-                np.zeros(r * p),
-                jac=True,
-                method="L-BFGS-B",
-                options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 5000},
-            )
-            assert np.linalg.norm(closed - numeric.x.reshape(r, p)) < 1e-5
-
-
-def test_c04_weight_solve_beats_simplex_grid():
-    """No point of a fine simplex grid improves on the closed-form weights."""
-    rng = np.random.default_rng(200)
-    for num_modalities in (2, 3):
-        for _ in range(5):
-            norms = rng.uniform(0.1, 4.0, size=num_modalities)
-            squares = norms**2
-            weights = update_weights(norms)
-            closed_value = float(np.sum(squares / weights))
-            assert closed_value <= simplex_grid_min(squares)
-
-
-def test_c05_weighted_sum_grid_matches_squared_norm_sum():
-    """The grid minimum lands on (sum of norms)^2, the analytic optimum."""
-    rng = np.random.default_rng(300)
-    for num_modalities in (2, 3):
-        for _ in range(5):
-            norms = rng.uniform(0.1, 4.0, size=num_modalities)
-            target = float(np.sum(norms) ** 2)
-            grid_min = simplex_grid_min(norms**2)
-            assert abs(grid_min - target) <= 1e-3 * target
-
-
-def test_c06_training_converges_quickly(standard_bundle):
-    """On the standard bundle the trace is monotone and settles fast."""
-    start = time.perf_counter()
-    feats = standard_bundle.features_at(standard_bundle.train_indices)
-    labels = standard_bundle.labels_at(standard_bundle.train_indices)
-    centers = build_center_table(16, 4, seed=11)
-    model = fit(feats, labels, centers, config=TrainConfig(seed=11))
-    trace = np.asarray(model.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-9 * np.abs(trace[:-1]))
-    assert model.converged
-    assert len(trace) <= 10
-    assert abs(trace[-1] - trace[-2]) < 1e-5 * abs(trace[-2])
-    assert time.perf_counter() - start < 10.0
-
-
-def test_c07_end_to_end_retrieval_quality(standard_bundle):
-    """Train, encode, evaluate: high mAP, and a perfect score at spread 0."""
-    start = time.perf_counter()
-
-    def pipeline_map(bundle):
-        centers = build_center_table(16, 4, seed=11)
-        model = fit(
-            bundle.features_at(bundle.train_indices),
-            bundle.labels_at(bundle.train_indices),
-            centers,
-            config=TrainConfig(seed=11),
+def _acceptance_test(entry):
+    def test():
+        start = time.perf_counter()
+        entry.check(SEED)
+        seconds = time.perf_counter() - start
+        assert entry.bound is None or seconds < entry.bound, (
+            f"ran {seconds:.1f}s, bound {entry.bound:.0f}s"
         )
-        db_codes = fuse_encode_fixed(model, bundle.features_at(bundle.retrieval_indices))
-        batch = QueryBatch(features=bundle.features_at(bundle.query_indices))
-        query_codes = encode_adaptive(model, batch).codes
-        report = mean_average_precision(
-            query_codes,
-            bundle.labels_at(bundle.query_indices),
-            db_codes,
-            bundle.labels_at(bundle.retrieval_indices),
-        )
-        return report.map
 
-    assert pipeline_map(standard_bundle) >= 0.95
-    collapsed = generate_synthetic(
-        SynthSpec(
-            num_classes=4,
-            samples_per_class=100,
-            modality_dims=(32, 16),
-            cluster_spread=0.0,
-            seed=11,
-        )
-    )
-    assert pipeline_map(collapsed) == 1.0
-    assert time.perf_counter() - start < 30.0
+    test.__name__ = test.__qualname__ = f"test_{entry.check.__name__}"
+    test.__doc__ = entry.check.__doc__
+    return test
 
 
-def test_c08_adaptive_beats_fixed_on_noisy_stream(hard_bundle):
-    """Per-batch weights track the corrupted modality and do not hurt mAP."""
-    bundle = hard_bundle
-    centers = build_center_table(16, 4, seed=11)
-    model = fit(
-        bundle.features_at(bundle.train_indices),
-        bundle.labels_at(bundle.train_indices),
-        centers,
-        config=TrainConfig(seed=11),
-    )
-    db_codes = fuse_encode_fixed(model, bundle.features_at(bundle.retrieval_indices))
-    db_labels = bundle.labels_at(bundle.retrieval_indices)
-    query_labels = bundle.labels_at(bundle.query_indices)
-    batches, corrupted = make_noisy_stream(
-        bundle.features_at(bundle.query_indices),
-        batch_size=10,
-        noise_scale=2.0,
-        seed=0,
-    )
-
-    tracked = 0
-    adaptive_parts = []
-    fixed_parts = []
-    for batch, target in zip(batches, corrupted):
-        adaptive = encode_adaptive(model, batch)
-        fixed = encode_fixed(model, batch)
-        adaptive_parts.append(adaptive.codes)
-        fixed_parts.append(fixed.codes)
-        tracked += int(np.argmax(adaptive.dynamic_weights) == target)
-
-    def stream_map(parts):
-        codes = np.concatenate(parts, axis=1)
-        return mean_average_precision(codes, query_labels, db_codes, db_labels).map
-
-    assert stream_map(adaptive_parts) >= stream_map(fixed_parts)
-    assert tracked / len(batches) >= 0.9
-
-
-def test_c09_encoding_reaches_joint_fixed_point():
-    """Returned codes and weights solve each other's subproblem, and the
-    codes beat every one of the 2^24 alternatives at the final weights."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(400)
-    code_length, batch_size = 8, 3
-    column_patterns = np.array(
-        [[1 if (idx >> bit) & 1 else -1 for bit in range(code_length)]
-         for idx in range(2**code_length)],
-        dtype=np.float64,
-    )  # (256, 8), every possible code column
-    for _ in range(20):
-        dims = [int(rng.integers(3, 7)) for _ in range(2)]
-        num_anchors = int(rng.integers(3, 6))
-        weights = rng.uniform(0.2, 1.0, size=2)
-        model = TrainedModel(
-            projections=[rng.standard_normal((code_length, num_anchors)) for _ in range(2)],
-            anchor_sets=[
-                AnchorSet(anchors=rng.standard_normal((dims[m], num_anchors)), kernel_width=1.0)
-                for m in range(2)
-            ],
-            train_weights=weights / weights.sum(),
-            delta=1e-3,
-            code_length=code_length,
-        )
-        batch = QueryBatch(
-            features=[rng.standard_normal((dims[m], batch_size)) for m in range(2)]
-        )
-        result = encode_adaptive(model, batch)
-        codes = result.codes.astype(np.float64)
-        mu = result.dynamic_weights
-        projected = [
-            model.projections[m] @ apply_kernel(batch.features[m], model.anchor_sets[m])
-            for m in range(2)
-        ]
-
-        # code subproblem: sign of the weight-fused projections
-        fused = projected[0] / mu[0] + projected[1] / mu[1]
-        np.testing.assert_array_equal(codes, np.where(fused >= 0, 1.0, -1.0))
-
-        # weight subproblem: normalized residual norms at the codes
-        norms = np.array([np.linalg.norm(codes - p) for p in projected])
-        np.testing.assert_allclose(mu, norms / norms.sum(), atol=1e-12)
-
-        # the objective of every possible code matrix, column costs combined
-        # over all 256^3 = 2^24 combinations
-        column_costs = []
-        for j in range(batch_size):
-            gaps = [column_patterns - p[:, j] for p in projected]
-            column_costs.append(
-                (gaps[0] ** 2).sum(axis=1) / mu[0] + (gaps[1] ** 2).sum(axis=1) / mu[1]
-            )
-        every_objective = (
-            column_costs[0][:, None, None]
-            + column_costs[1][None, :, None]
-            + column_costs[2][None, None, :]
-        )
-        returned_objective = sum(
-            ((codes - p) ** 2).sum() / w for p, w in zip(projected, mu)
-        )
-        assert returned_objective <= float(every_objective.min()) + 1e-9
-    assert time.perf_counter() - start < 60.0
-
-
-def test_c10_evaluator_exactness():
-    """AP formula, naive-oracle agreement, and the random-code baseline."""
-    assert abs(average_precision([1, 0, 1], 3) - 5.0 / 6.0) < 1e-12
-
-    rng = np.random.default_rng(500)
-    for _ in range(5):
-        db = sign_to_pm1(rng.standard_normal((12, 30)))
-        db_labels = [{int(rng.integers(0, 3))} for _ in range(30)]
-        queries = sign_to_pm1(rng.standard_normal((12, 5)))
-        query_labels = [{int(rng.integers(0, 3))} for _ in range(5)]
-        report = mean_average_precision(queries, query_labels, db, db_labels)
-        aps = []
-        for q in range(5):
-            dists = [bitwise_distance(queries[:, q], db[:, j]) for j in range(30)]
-            order = sorted(range(30), key=lambda j: (dists[j], j))
-            relevance = [int(bool(db_labels[j] & query_labels[q])) for j in order]
-            aps.append(naive_ap(relevance, 30))
-        assert abs(report.map - np.mean(aps)) < 1e-12
-
-    db = sign_to_pm1(rng.standard_normal((16, 500)))
-    db_labels = [{j % 2} for j in range(500)]
-    queries = sign_to_pm1(rng.standard_normal((16, 100)))
-    query_labels = [{q % 2} for q in range(100)]
-    random_map = mean_average_precision(queries, query_labels, db, db_labels).map
-    assert abs(random_map - 0.5) <= 0.05
-
-
-def test_c11_missing_modality_single_projection_identity(
-    standard_bundle, trained_standard
-):
-    """With one modality absent the code is the other's projection sign."""
-    model, _ = trained_standard
-    feats = standard_bundle.features_at(standard_bundle.query_indices)
-    for present in (0, 1):
-        features = [None, None]
-        features[present] = feats[present]
-        batch = QueryBatch(features=features)
-        scores = model.projections[present] @ apply_kernel(
-            feats[present], model.anchor_sets[present]
-        )
-        want = np.where(scores >= 0, 1, -1).astype(np.int8)
-        for result in (encode_adaptive(model, batch), encode_fixed(model, batch)):
-            np.testing.assert_array_equal(result.codes, want)
-            assert result.dynamic_weights[1 - present] == 0.0
-
-
-def test_c12_delta_sweep_stability(standard_bundle, tmp_path, capsys):
-    """Retrieval quality barely moves across four decades of ridge strength."""
-    bundle_dir = tmp_path / "bundle"
-    store_bundle(standard_bundle, bundle_dir)
-    exit_code = cli_main(
-        ["sweep-delta", "--bundle", str(bundle_dir), "--bits", "16", "--seed", "11"]
-    )
-    out = capsys.readouterr().out
-    assert exit_code == 0
-    scores = {}
-    for line in out.strip().splitlines():
-        values = dict(pair.split("=", 1) for pair in line.split())
-        if "delta" in values:
-            scores[float(values["delta"])] = float(values["map"])
-    assert sorted(scores) == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
-    assert max(scores.values()) - min(scores.values()) < 0.05
+for _entry in CHECKS:
+    _test = _acceptance_test(_entry)
+    globals()[_test.__name__] = _test

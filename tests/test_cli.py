@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, config files, error lines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fusehash import cli, load_centers, load_codes, load_model, store_codes
+from fusehash import bench, cli, load_centers, load_codes, load_model, store_codes
 from fusehash.cli import main
 from fusehash.evaluation import RANK_BLOCK
 
@@ -325,6 +330,48 @@ class TestBenchAndStudies:
         assert stdout.count("[PASS]") == 12
         assert "[FAIL]" not in stdout
 
+    def test_bench_reports_failing_and_raising_checks(self, capsys, monkeypatch):
+        def wrong(seed):
+            raise AssertionError("distance 3,\n  want 4")
+
+        def broken(seed):
+            raise ValueError(f"no data for seed {seed}")
+
+        monkeypatch.setattr(bench, "CHECKS", (
+            bench.AcceptanceCheck("wrong", wrong),
+            bench.AcceptanceCheck("broken", broken),
+        ))
+        code, stdout, _ = run(["bench", "--seed", "4"], capsys)
+        assert code == 1
+        lines = stdout.splitlines()
+        assert lines[0].startswith("[FAIL] wrong (")
+        assert lines[0].endswith("): distance 3, want 4")
+        assert lines[1].startswith("[FAIL] broken (")
+        assert lines[1].endswith("): raised ValueError: no data for seed 4")
+        assert lines[2] == "0/2 passed; FAILURES PRESENT"
+
+    def test_bench_fails_a_check_over_its_bound(self, capsys, monkeypatch):
+        slow = bench.AcceptanceCheck("slow", lambda seed: "fine", bound=1e-9)
+        monkeypatch.setattr(bench, "CHECKS", (slow,))
+        code, stdout, _ = run(["bench"], capsys)
+        assert code == 1
+        assert stdout.startswith("[FAIL] slow (")
+        assert "fine; ran 0.0s, bound 0s" in stdout
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """The L-BFGS oracle's import stays inside its check."""
+        probe = "import sys, fusehash; print('scipy.optimize' in sys.modules)"
+        package_root = str(Path(cli.__file__).parents[1])  # the fusehash under test
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
+
     def test_sweep_delta_lines(self, workspace, capsys):
         code, stdout, _ = run([
             "sweep-delta", "--bundle", str(workspace["bundle"]),
@@ -333,9 +380,12 @@ class TestBenchAndStudies:
         assert code == 0
         lines = stdout.strip().splitlines()
         assert len(lines) == 6  # five deltas plus the range summary
+        deltas = []
         for line in lines[:-1]:
             values = parse_kv_line(line)
+            deltas.append(float(values["delta"]))
             assert 0.0 <= float(values["map"]) <= 1.0
+        assert deltas == list(bench.DELTA_SWEEP)
         assert lines[-1].startswith("map_range=")
 
     def test_ablate_reports_both_modes(self, workspace, capsys):

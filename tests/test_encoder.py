@@ -331,6 +331,16 @@ class TestNonFiniteInput:
         with pytest.raises(NumericalError, match="modality 1"):
             fuse_encode_fixed(model, feats)
 
+    def test_hand_built_model_names_the_modality(self):
+        model = toy_model(np.random.default_rng(14), 8, (3, 5))
+        assert [s.modality_index for s in model.anchor_sets] == [0, 1]
+        feats = [np.zeros((3, 4)), np.zeros((5, 4))]
+        feats[1][2, 1] = np.nan
+        with pytest.raises(NumericalError, match="modality 1"):
+            encode_adaptive(model, QueryBatch(features=feats))
+        with pytest.raises(NumericalError, match="modality 1"):
+            fuse_encode_fixed(model, feats)
+
     @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
     def test_stream_reports_a_failed_batch(self, trained_standard, mode):
         model, _ = trained_standard

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusehash import load_codes, pack_codes, packed_hamming, sign_to_pm1, store_codes, unpack_codes
+from fusehash import load_codes, pack_codes, sign_to_pm1, store_codes, unpack_codes
 from fusehash.exceptions import InvalidParameterError, ShapeError
-from fusehash.packing import CodeMatrix
+from fusehash.packing import CodeMatrix, packed_hamming
 
 
 def naive_hamming(a, b):
