@@ -19,8 +19,8 @@ from .exceptions import InvalidParameterError, NumericalError, ShapeError
 # Cap on the anchor pairs used by the kernel-width heuristic.
 MAX_WIDTH_PAIRS = 2000
 
-# Columns mapped and projected together when apply_kernel is given a
-# projection; bounds the (p, block) kernel array alive at once.
+# Columns mapped together by _kernel_blocks, for the projected map and for
+# training's Gram statistics; bounds the (p, block) kernel array alive at once.
 KERNEL_BLOCK = 1024
 
 
@@ -108,15 +108,12 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     allocates one array of its output's size.
 
     With an ``(r, p)`` ``projection``, returns ``projection @ K`` without
-    building the whole of K: inputs of more than ``KERNEL_BLOCK`` columns are
-    mapped and projected one column block at a time into the ``(r, n)``
-    result, so memory is O(r n + p KERNEL_BLOCK). Blocks start at multiples
-    of ``KERNEL_BLOCK`` and none is narrower unless it is the only one (the
-    last one takes the remainder), so BLAS tiles every block's columns as
-    it tiles the whole product; at the benchmark's sizes the result is the
-    unblocked one bit for bit. Where r p KERNEL_BLOCK is small enough for a
-    BLAS small-matrix kernel, a column can differ from the unblocked product
-    in the last bit.
+    building the whole of K: the column blocks of ``_kernel_blocks`` are
+    projected one block at a time into the ``(r, n)`` result, so memory is
+    O(r n + p KERNEL_BLOCK). Blocks tile the columns as BLAS tiles the whole
+    product, so at the benchmark's sizes the result is the unblocked one bit
+    for bit. Where r p KERNEL_BLOCK is small enough for a BLAS small-matrix
+    kernel, a column can differ from the unblocked product in the last bit.
 
     Features must be finite: a NaN or infinite feature raises
     :class:`NumericalError` naming the anchor set's modality.
@@ -139,13 +136,29 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
         raise ShapeError(
             f"projection shape {proj.shape} does not match {anchors.shape[1]} anchors"
         )
+    out = np.empty((proj.shape[0], feats.shape[1]))
+    for start, stop, block in _kernel_blocks(feats, anchor_set):
+        np.matmul(proj, block, out=out[:, start:stop])
+    return out
+
+
+def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet):
+    """Yield ``(start, stop, K[:, start:stop])`` over column blocks of the map.
+
+    ``feats`` are float64 features of the anchors' dimensionality. Blocks
+    start at multiples of ``KERNEL_BLOCK`` and none is narrower unless it is
+    the only one: the last block takes the remainder, so fewer than
+    ``2 * KERNEL_BLOCK`` columns make one block, mapped exactly as
+    :func:`apply_kernel` maps them whole. Each block is checked for
+    non-finite features (:class:`NumericalError` naming the modality) and
+    mapped in place into a fresh ``(p, stop - start)`` array, so one block's
+    kernel values are alive at a time when the caller drops each.
+    """
     n = feats.shape[1]
-    out = np.empty((proj.shape[0], n))
     edges = [*range(0, max(n - KERNEL_BLOCK, 0) + 1, KERNEL_BLOCK), n]
     for start, stop in zip(edges, edges[1:]):
         block = require_finite(feats[:, start:stop], anchor_set.modality_index)
-        np.matmul(proj, _map_block(block, anchor_set), out=out[:, start:stop])
-    return out
+        yield start, stop, _map_block(block, anchor_set)
 
 
 def require_finite(feats: np.ndarray, modality_index: int) -> np.ndarray:

@@ -40,13 +40,17 @@ _CRC = struct.Struct("<I")
 
 
 class _Cursor:
-    """Sequential little-endian reader that rejects out-of-bounds access."""
+    """Sequential little-endian reader that rejects out-of-bounds access.
 
-    def __init__(self, buf: bytes):
+    Reads a ``memoryview``, so taking a chunk copies nothing; arrays are
+    copied once, out of the file's bytes.
+    """
+
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         end = self.pos + count
         if count < 0 or end > len(self.buf):
             raise CorruptFileError("payload shorter than its declared contents")
@@ -71,15 +75,23 @@ class _Cursor:
             raise CorruptFileError("payload longer than its declared contents")
 
 
-def _write_file(path, kind: int, payload: bytes) -> None:
-    """Write an AMFH file through a flushed temporary file renamed over ``path``."""
-    blob = MAGIC + _HEADER.pack(kind, FORMAT_VERSION) + payload
-    blob += _CRC.pack(zlib.crc32(blob) & 0xFFFFFFFF)
+def _write_file(path, kind: int, *parts) -> None:
+    """Write an AMFH file through a flushed temporary file renamed over ``path``.
+
+    ``parts`` are the payload's bytes-like pieces in order (C-contiguous
+    arrays included); each is checksummed and written where it lies, so the
+    payload is never joined into one copy.
+    """
+    head = MAGIC + _HEADER.pack(kind, FORMAT_VERSION)
+    crc = zlib.crc32(head)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
     target = Path(path)
     partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "wb") as file:
-            file.write(blob)
+            for part in (head, *parts, _CRC.pack(crc & 0xFFFFFFFF)):
+                file.write(part)
             file.flush()
             os.fsync(file.fileno())
         os.replace(partial, target)
@@ -87,34 +99,35 @@ def _write_file(path, kind: int, payload: bytes) -> None:
         partial.unlink(missing_ok=True)
 
 
-def _checked_payload(blob: bytes, kind: int, path) -> bytes:
+def _checked_payload(blob: bytes, kind: int, path) -> memoryview:
+    """The payload of a verified file, as a view into ``blob``."""
     head = len(MAGIC) + _HEADER.size
     if len(blob) < head + _CRC.size:
         raise CorruptFileError(f"{path}: too short to be a valid file")
     if blob[: len(MAGIC)] != MAGIC:
         raise CorruptFileError(f"{path}: bad magic bytes")
-    (stored,) = _CRC.unpack(blob[-_CRC.size :])
-    if zlib.crc32(blob[: -_CRC.size]) & 0xFFFFFFFF != stored:
+    view = memoryview(blob)
+    (stored,) = _CRC.unpack(view[-_CRC.size :])
+    if zlib.crc32(view[: -_CRC.size]) & 0xFFFFFFFF != stored:
         raise CorruptFileError(f"{path}: checksum mismatch")
     file_kind, version = _HEADER.unpack(blob[len(MAGIC) : head])
     if file_kind != kind:
         raise CorruptFileError(f"{path}: kind tag {file_kind}, expected {kind}")
     if version != FORMAT_VERSION:
         raise CorruptFileError(f"{path}: unsupported format version {version}")
-    return blob[head : -_CRC.size]
+    return view[head : -_CRC.size]
 
 
-def _read_file(path, kind: int) -> bytes:
+def _read_file(path, kind: int) -> memoryview:
     return _checked_payload(Path(path).read_bytes(), kind, path)
 
 
 def store_features(matrix, path) -> None:
     """Write a (d, n) feature matrix as a kind-1 AMFH file."""
-    mat = np.asarray(matrix, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {mat.shape}")
-    payload = struct.pack("<QQ", *mat.shape) + mat.astype("<f8").tobytes(order="C")
-    _write_file(path, KIND_FEATURES, payload)
+    data = np.ascontiguousarray(matrix, dtype="<f8")  # a C-order float64 matrix is not copied
+    if data.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {data.shape}")
+    _write_file(path, KIND_FEATURES, struct.pack("<QQ", *data.shape), data)
 
 
 def _load_csv(path) -> np.ndarray:
@@ -142,8 +155,8 @@ def load_features(path) -> np.ndarray:
 def store_codes(codes, path) -> None:
     """Write a sign-code matrix as a kind-2 AMFH file, one packed column at a time."""
     packed = pack_codes(codes)  # validates shape and the {-1, +1} alphabet
-    payload = struct.pack("<QQ", *np.shape(codes)) + packed.T.tobytes(order="C")
-    _write_file(path, KIND_CODES, payload)
+    header = struct.pack("<QQ", *np.shape(codes))
+    _write_file(path, KIND_CODES, header, packed.T.tobytes(order="C"))
 
 
 def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndarray:
@@ -178,7 +191,7 @@ def load_codes(path) -> CodeMatrix:
 
 def store_centers(table: HashCenterTable, path) -> None:
     """Write a hash-center table as a kind-4 AMFH file."""
-    payload = struct.pack(
+    header = struct.pack(
         "<QQQQB",
         table.code_length,
         table.num_categories,
@@ -186,8 +199,7 @@ def store_centers(table: HashCenterTable, path) -> None:
         table.hadamard_order,
         1 if table.is_exact else 0,
     )
-    payload += pack_codes(table.centers).T.tobytes(order="C")
-    _write_file(path, KIND_CENTERS, payload)
+    _write_file(path, KIND_CENTERS, header, pack_codes(table.centers).T.tobytes(order="C"))
 
 
 def load_centers(path) -> HashCenterTable:
@@ -243,7 +255,7 @@ def store_model(model: TrainedModel, path) -> None:
         )
         parts.append(anchors.astype("<f8").tobytes(order="C"))
         parts.append(np.asarray(model.projections[m], dtype="<f8").tobytes(order="C"))
-    _write_file(path, KIND_MODEL, b"".join(parts))
+    _write_file(path, KIND_MODEL, *parts)
 
 
 def load_model(path) -> TrainedModel:

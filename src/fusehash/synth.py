@@ -98,14 +98,17 @@ def generate_synthetic(spec: SynthSpec) -> DatasetBundle:
     per_class = spec.samples_per_class
     spreads = spec.spreads()
 
+    # Each class's draws are scaled and shifted into its column slice of one
+    # preallocated matrix, so one class block is the only temporary.
     modalities = []
     for dim, spread in zip(spec.modality_dims, spreads):
         prototypes = rng.standard_normal((dim, k))
-        blocks = [
-            prototypes[:, [c]] + spread * rng.standard_normal((dim, per_class))
-            for c in range(k)
-        ]
-        modalities.append(np.concatenate(blocks, axis=1))
+        mat = np.empty((dim, k * per_class))
+        for c in range(k):
+            block = mat[:, c * per_class : (c + 1) * per_class]
+            np.multiply(rng.standard_normal((dim, per_class)), spread, out=block)
+            block += prototypes[:, [c]]
+        modalities.append(mat)
     labels = [{c} for c in range(k) for _ in range(per_class)]
 
     train_count, query_count, _ = spec.split_sizes()

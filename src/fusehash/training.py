@@ -4,7 +4,11 @@ The trainer regresses kernel features of every modality onto the shared
 binary target codes. Each iteration solves a ridge system per modality in
 closed form, then rebalances the simplex-constrained modality weights
 from the residual norms; both steps minimize their subproblem exactly, so
-the objective never increases.
+the objective never increases in exact arithmetic (:func:`fit` states how
+rounding of its residuals can break that in near-exact fits). The kernel
+features enter only through their Gram statistics ``K K^T`` and ``T K^T``,
+summed over column blocks of the kernel map, so training never holds a
+``(p, n)`` kernel matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .exceptions import (
     NumericalError,
     ShapeError,
 )
-from .kernel import AnchorSet, apply_kernel, require_finite, select_anchors
+from .kernel import AnchorSet, _kernel_blocks, apply_kernel, select_anchors
 from .packing import sign_to_pm1
 
 # Residual norms are clamped here before normalizing, so an exact fit
@@ -140,6 +144,26 @@ def _ridge_solve(gram, cross, weight: float, delta: float) -> np.ndarray:
     return cho_solve(factor, rhs.T, check_finite=False).T
 
 
+def _gram_statistics(feats, anchor_set: AnchorSet, targets):
+    """``G = K K^T`` and ``B = T K^T`` of the kernel map ``K`` of ``feats``,
+    summed over its column blocks; the first block assigns, so one block
+    gives the unblocked products."""
+    gram = cross = None
+    for start, stop, block in _kernel_blocks(feats, anchor_set):
+        if gram is None:
+            gram, cross = block @ block.T, targets[:, start:stop] @ block.T
+        else:
+            gram += block @ block.T
+            cross += targets[:, start:stop] @ block.T
+    return gram, cross
+
+
+def _squared_residual(target_energy: float, proj, gram, cross) -> float:
+    """``||T - W K||_F^2 = ||T||^2 - 2 <W, B> + <W G, W>``, clamped at 0."""
+    value = target_energy - 2.0 * (proj * cross).sum() + ((proj @ gram) * proj).sum()
+    return max(float(value), 0.0)
+
+
 def update_weights(residual_norms) -> np.ndarray:
     """Simplex-optimal weights, proportional to the residual norms.
 
@@ -161,6 +185,20 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     iterations. Deterministic for fixed inputs and seeds. Raises
     :class:`NumericalError` naming the modality when a training feature is
     NaN or infinite.
+
+    Memory is O(M p^2 + p KERNEL_BLOCK + r n): each modality's kernel map is
+    computed in column blocks and only its Gram statistics G and B are kept.
+    The squared residual of an iteration comes from them by the identity
+    ``||T - W K||^2 = ||T||^2 - 2 <W, B> + <W G, W>`` (clamped at 0). Its
+    absolute error is a few eps times the size of those terms, about
+    eps ||T||^2 while W stays moderate, not eps times the residual; it grows
+    with ||W||^2 as delta -> 0. In a near-exact fit that error therefore
+    sets the smallest residual norm and so the weights: at delta=1e-8 with
+    p = n = 12 the weights move 5.5e-7 from a direct residual pass, the fit
+    runs 10 iterations instead of 8 and its trace can rise by a step, and
+    on a spread-0 bundle they move up to 0.013 with the codes unchanged.
+    Where every squared residual is above 1e-6 ||T||^2 the weights agree
+    with a residual pass to 1e-10.
     """
     config = TrainConfig() if config is None else config
     config.validate()
@@ -173,8 +211,6 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     counts = {mat.shape[1] for mat in mats}
     if len(counts) != 1:
         raise ShapeError(f"modalities disagree on sample count: {sorted(counts)}")
-    for m, mat in enumerate(mats):
-        require_finite(mat, m)
     n = counts.pop()
     if n < 2:
         raise InvalidParameterError(f"need at least 2 training samples, got {n}")
@@ -193,14 +229,12 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         )
         for m in range(len(mats))
     ]
-    kernel_features = [
-        apply_kernel(mats[m], anchor_sets[m]) for m in range(len(mats))
-    ]
-
     # K_m is fixed during training, so its Gram statistics are computed once;
-    # each iteration then costs one Cholesky and one residual per modality.
-    grams = [feats @ feats.T for feats in kernel_features]
-    crosses = [targets @ feats.T for feats in kernel_features]
+    # each iteration then costs one Cholesky and O(r p^2) per modality.
+    statistics = [
+        _gram_statistics(mats[m], anchor_sets[m], targets) for m in range(len(mats))
+    ]
+    target_energy = float(np.vdot(targets, targets))
 
     num_modalities = len(mats)
     weights = np.full(num_modalities, 1.0 / num_modalities)
@@ -209,16 +243,14 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     projections: list[np.ndarray] = []
     for _ in range(config.max_iters):
         projections = [
-            _ridge_solve(grams[m], crosses[m], weights[m], config.delta)
-            for m in range(num_modalities)
+            _ridge_solve(gram, cross, weight, config.delta)
+            for (gram, cross), weight in zip(statistics, weights)
         ]
-        norms = []
-        squared_residuals = []
-        for proj, feats in zip(projections, kernel_features):
-            resid = targets - proj @ feats
-            norms.append(float(np.linalg.norm(resid)))
-            squared_residuals.append((resid * resid).sum())
-        weights = update_weights(norms)
+        squared_residuals = [
+            _squared_residual(target_energy, proj, gram, cross)
+            for proj, (gram, cross) in zip(projections, statistics)
+        ]
+        weights = update_weights(np.sqrt(squared_residuals))
         value = _objective_value(squared_residuals, projections, weights, config.delta)
         if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
             trace.append(value)

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -46,6 +47,34 @@ class TestFeatureFiles:
         mat = rng.standard_normal((7, 13))
         path = tmp_path / "feats.amfh"
         store_features(mat, path)
+        np.testing.assert_array_equal(load_features(path), mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.zeros((0, 4)), np.zeros((3, 0)), np.asfortranarray(np.arange(12.0).reshape(3, 4))],
+        ids=["no-rows", "no-columns", "fortran-order"],
+    )
+    def test_roundtrip_edge_layouts(self, tmp_path, mat):
+        path = tmp_path / "feats.amfh"
+        store_features(mat, path)
+        loaded = load_features(path)
+        assert loaded.shape == mat.shape
+        np.testing.assert_array_equal(loaded, mat)
+
+    def test_store_and_load_copy_the_matrix_at_most_once(self, tmp_path):
+        """Storing writes the matrix where it lies; loading copies the file's
+        bytes once into the result. Both peaks stay within 2.05x the matrix."""
+        mat = np.random.default_rng(1).standard_normal((256, 2000))
+        path = tmp_path / "feats.amfh"
+        peaks = []
+        for step in (lambda: store_features(mat, path), lambda: load_features(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2.05 * mat.nbytes
         np.testing.assert_array_equal(load_features(path), mat)
 
     def test_rejects_non_matrix(self, tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic dataset generation and noisy stream construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,35 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.train_indices, b.train_indices)
         np.testing.assert_array_equal(a.query_indices, b.query_indices)
         np.testing.assert_array_equal(a.retrieval_indices, b.retrieval_indices)
+
+    @pytest.mark.parametrize("seed, spread", [(0, (0.3, 1.0)), (11, (0.0, 2.5))])
+    def test_equals_concatenated_class_blocks(self, seed, spread):
+        """Filling one matrix per modality gives the bytes of drawing each
+        class block, shifting it by its prototype and concatenating."""
+        spec = small_spec(seed=seed, cluster_spread=spread)
+        rng = np.random.default_rng(seed)
+        for dim, scale, got in zip(
+            spec.modality_dims, spec.spreads(), generate_synthetic(spec).modalities
+        ):
+            prototypes = rng.standard_normal((dim, spec.num_classes))
+            blocks = [
+                prototypes[:, [c]] + scale * rng.standard_normal((dim, spec.samples_per_class))
+                for c in range(spec.num_classes)
+            ]
+            assert got.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+    def test_peak_memory_near_output(self):
+        """One class block is the only temporary: the peak stays within 1.2x
+        of what the bundle holds (concatenating blocks would double a modality)."""
+        spec = small_spec(num_classes=10, samples_per_class=200, modality_dims=(256, 64))
+        tracemalloc.start()
+        try:
+            bundle = generate_synthetic(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(m.nbytes for m in bundle.modalities) <= held
+        assert peak <= 1.2 * held
 
     def test_seed_changes_data(self):
         a = generate_synthetic(small_spec(seed=5))
