@@ -4,11 +4,10 @@ The trainer regresses kernel features of every modality onto the shared
 binary target codes. Each iteration solves a ridge system per modality in
 closed form, then rebalances the simplex-constrained modality weights
 from the residual norms; both steps minimize their subproblem exactly, so
-the objective never increases in exact arithmetic (:func:`fit` states how
-rounding of its residuals can break that in near-exact fits). The kernel
-features enter only through their Gram statistics ``K K^T`` and ``T K^T``,
-summed over column blocks of the kernel map, so training never holds a
-``(p, n)`` kernel matrix.
+the objective never increases in exact arithmetic. The kernel features
+enter only through their Gram statistics ``K K^T`` and ``T K^T``, summed
+over column blocks of the kernel map, and the residual norms come from
+those statistics, so training never holds a ``(p, n)`` kernel matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +30,11 @@ from .packing import sign_to_pm1
 # Residual norms are clamped here before normalizing, so an exact fit
 # cannot zero out a weight.
 RESIDUAL_FLOOR = 1e-12
+
+# Share of the size of its terms below which the Gram identity's squared
+# residual is summed over the kernel blocks instead: the identity's rounding,
+# about eps times that size, would exceed ~2e-6 of the residual there.
+NEAR_EXACT_SHARE = 1e-10
 
 
 @dataclass
@@ -158,10 +162,29 @@ def _gram_statistics(feats, anchor_set: AnchorSet, targets):
     return gram, cross
 
 
-def _squared_residual(target_energy: float, proj, gram, cross) -> float:
-    """``||T - W K||_F^2 = ||T||^2 - 2 <W, B> + <W G, W>``, clamped at 0."""
+def _squared_residual(
+    target_energy: float, proj, gram, cross, feats, anchor_set: AnchorSet, targets
+) -> float:
+    """``||T - W K||_F^2`` of one modality without a ``(p, n)`` array.
+
+    Taken from ``||T||^2 - 2 <W, B> + <W G, W>`` in O(r p^2). That value's
+    absolute error is about eps times the size of its terms (entrywise
+    absolute values), so where it falls below ``NEAR_EXACT_SHARE`` of that
+    size (a near-exact fit) the residual is summed over the column blocks of
+    the kernel map instead, as a direct residual pass sums it.
+    """
+    size = np.abs(proj)  # G = K K^T has no negative entries
+    magnitude = (
+        target_energy + 2.0 * (size * np.abs(cross)).sum() + ((size @ gram) * size).sum()
+    )
     value = target_energy - 2.0 * (proj * cross).sum() + ((proj @ gram) * proj).sum()
-    return max(float(value), 0.0)
+    if value >= NEAR_EXACT_SHARE * magnitude:
+        return float(value)
+    total = 0.0
+    for start, stop, block in _kernel_blocks(feats, anchor_set):
+        resid = (targets[:, start:stop] - proj @ block).ravel()
+        total += float(resid @ resid)
+    return total
 
 
 def update_weights(residual_norms) -> np.ndarray:
@@ -189,16 +212,12 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     Memory is O(M p^2 + p KERNEL_BLOCK + r n): each modality's kernel map is
     computed in column blocks and only its Gram statistics G and B are kept.
     The squared residual of an iteration comes from them by the identity
-    ``||T - W K||^2 = ||T||^2 - 2 <W, B> + <W G, W>`` (clamped at 0). Its
-    absolute error is a few eps times the size of those terms, about
-    eps ||T||^2 while W stays moderate, not eps times the residual; it grows
-    with ||W||^2 as delta -> 0. In a near-exact fit that error therefore
-    sets the smallest residual norm and so the weights: at delta=1e-8 with
-    p = n = 12 the weights move 5.5e-7 from a direct residual pass, the fit
-    runs 10 iterations instead of 8 and its trace can rise by a step, and
-    on a spread-0 bundle they move up to 0.013 with the codes unchanged.
-    Where every squared residual is above 1e-6 ||T||^2 the weights agree
-    with a residual pass to 1e-10.
+    ``||T - W K||^2 = ||T||^2 - 2 <W, B> + <W G, W>``, whose absolute error
+    is about eps times the size of its terms rather than eps times the
+    residual. In a near-exact fit, where the identity's value is below
+    ``NEAR_EXACT_SHARE`` of that size, the residual is instead summed over
+    one more blocked pass of the kernel map, so rounding does not set the
+    weights.
     """
     config = TrainConfig() if config is None else config
     config.validate()
@@ -247,8 +266,10 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
             for (gram, cross), weight in zip(statistics, weights)
         ]
         squared_residuals = [
-            _squared_residual(target_energy, proj, gram, cross)
-            for proj, (gram, cross) in zip(projections, statistics)
+            _squared_residual(
+                target_energy, proj, *statistics[m], mats[m], anchor_sets[m], targets
+            )
+            for m, proj in enumerate(projections)
         ]
         weights = update_weights(np.sqrt(squared_residuals))
         value = _objective_value(squared_residuals, projections, weights, config.delta)

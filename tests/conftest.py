@@ -1,19 +1,11 @@
 """Shared fixtures: one well-separated bundle and one harder bundle.
 
-Both are session-scoped; tests must not mutate them. ``HYPOTHESIS_PROFILE=ci``
-runs every property test derandomized and prints the reproduction blob of a
-failure, so a tolerance failure in CI reproduces from its log.
+Both are session-scoped; tests must not mutate them.
 """
 
-import os
-
 import pytest
-from hypothesis import settings
 
 from fusehash import SynthSpec, generate_synthetic, train_on_bundle
-
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

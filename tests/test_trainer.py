@@ -17,7 +17,7 @@ from fusehash import (
     fuse_encode_fixed,
     sign_to_pm1,
 )
-from fusehash import kernel
+from fusehash import kernel, training
 from fusehash.centers import assign_target_codes
 from fusehash.exceptions import (
     DegenerateWeightError,
@@ -65,7 +65,6 @@ def reference_fit(features, labels, centers, config):
     ]
     weights = np.full(len(features), 1.0 / len(features))
     trace, converged, projections = [], False, []
-    closest = np.inf  # smallest ||T - W K||^2 / ||T||^2 seen
     for _ in range(config.max_iters):
         projections = [
             update_projection(targets, feats, weight, config.delta)
@@ -75,7 +74,6 @@ def reference_fit(features, labels, centers, config):
             float(np.linalg.norm(targets - proj @ feats))
             for proj, feats in zip(projections, kernel_features)
         ]
-        closest = min(closest, min(norms) ** 2 / targets.size)
         weights = update_weights(norms)
         value = objective(projections, weights, kernel_features, targets, config.delta)
         if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
@@ -83,32 +81,28 @@ def reference_fit(features, labels, centers, config):
             converged = True
             break
         trace.append(value)
-    return projections, weights, trace, converged, closest
+    return projections, weights, trace, converged
 
 
 def assert_fit_matches_reference(features, labels, centers, config):
     """``fit`` matches :func:`reference_fit`; returns the model.
 
-    ``fit`` takes its residual norms from the Gram identity, whose absolute
-    error is O(eps ||T||^2); the reference takes them from a residual pass.
-    While every squared residual stays above 1e-6 ||T||^2 the two agree to
-    rounding: projections within 1e-8 of their largest entry, weights
-    within 1e-10, the trace within 1e-10 relative. In a near-exact fit
-    (here only p == n reaches one) the identity's error sets the smallest
-    norm, so the three are held to 1e-5 instead. Iterations and the stop
-    agree in both cases.
+    ``fit`` takes its residual norms from the Gram identity, or from a
+    blocked residual pass in a near-exact fit; the reference takes them from
+    a residual pass over the whole K. The two agree to rounding: projections
+    within 1e-8 of their largest entry, weights within 1e-10, the trace
+    within 1e-10 relative, and the same iterations and stop.
     """
     model = fit(features, labels, centers, config=config)
-    projections, weights, trace, converged, closest = reference_fit(
+    projections, weights, trace, converged = reference_fit(
         features, labels, centers, config
     )
-    bounds = (1e-8, 1e-10, 1e-10) if closest >= 1e-6 else (1e-5, 1e-5, 1e-5)
     assert len(model.projections) == len(projections)
     for got, want in zip(model.projections, projections):
-        assert np.abs(got - want).max() <= bounds[0] * np.abs(want).max()
-    np.testing.assert_allclose(model.train_weights, weights, rtol=0, atol=bounds[1])
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    np.testing.assert_allclose(model.train_weights, weights, rtol=0, atol=1e-10)
     assert len(model.objective_trace) == len(trace)
-    np.testing.assert_allclose(model.objective_trace, trace, rtol=bounds[2], atol=0)
+    np.testing.assert_allclose(model.objective_trace, trace, rtol=1e-10, atol=0)
     assert model.converged == converged
     return model
 
@@ -402,6 +396,24 @@ class TestBlockedTraining:
             if num_samples < 2 * SMALL_BLOCK:
                 assert got.tobytes() == want.tobytes()
 
+    def test_residual_pass_sums_every_block(self, monkeypatch):
+        """With the share at 1 every squared residual takes the blocked pass,
+        which over several blocks is the direct ||T - W K||^2."""
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(training, "NEAR_EXACT_SHARE", 1.0)
+        rng = np.random.default_rng(20)
+        num_samples = 2 * SMALL_BLOCK + 3
+        anchor_set = select_anchors(rng.standard_normal((4, 7)), 7, seed=0)
+        feats = rng.standard_normal((4, num_samples))
+        targets = sign_to_pm1(rng.standard_normal((6, num_samples))).astype(np.float64)
+        gram, cross = _gram_statistics(feats, anchor_set, targets)
+        proj = _ridge_solve(gram, cross, 0.5, 1e-3)
+        got = _squared_residual(
+            float(targets.size), proj, gram, cross, feats, anchor_set, targets
+        )
+        want = ((targets - proj @ apply_kernel(feats, anchor_set)) ** 2).sum()
+        assert got == pytest.approx(want, rel=1e-12)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         code_length=st.integers(1, 16),
@@ -414,16 +426,17 @@ class TestBlockedTraining:
     def test_gram_identity_matches_residual_pass(
         self, code_length, num_anchors, num_samples, weight, delta, seed
     ):
-        """At a ridge solution, ||T||^2 - 2 <W, B> + <W G, W> is the direct
-        ||T - W K||^2 up to rounding of the terms' magnitudes, and within
-        1e-9 ||T||^2 for the trainer's ridge range delta >= 1e-3, near-exact
-        fits (p >= n) included. As delta -> 0 W grows, and the error with
-        it: random draws at delta = 1e-8 reach 3e-8 ||T||^2."""
+        """At a ridge solution the squared residual is the direct
+        ||T - W K||^2 up to rounding of the identity's terms, within 1e-9
+        ||T||^2 for the trainer's ridge range delta >= 1e-3, and within 1e-5
+        of itself everywhere: where the identity would keep fewer digits (a
+        near-exact fit, or a large W as delta -> 0) it is summed directly."""
         rng = np.random.default_rng(seed)
         anchor_set = select_anchors(
             rng.standard_normal((3, num_anchors)), num_anchors, seed=0
         )
-        whole = apply_kernel(rng.standard_normal((3, num_samples)), anchor_set)
+        feats = rng.standard_normal((3, num_samples))
+        whole = apply_kernel(feats, anchor_set)
         targets = sign_to_pm1(rng.standard_normal((code_length, num_samples))).astype(
             np.float64
         )
@@ -431,29 +444,35 @@ class TestBlockedTraining:
         proj = _ridge_solve(gram, cross, weight, delta)
         energy = float(targets.size)
         want = ((targets - proj @ whole) ** 2).sum()
-        error = abs(_squared_residual(energy, proj, gram, cross) - want)
+        got = _squared_residual(energy, proj, gram, cross, feats, anchor_set, targets)
+        error = abs(got - want)
         size = abs(proj)
         magnitude = energy + 2.0 * (size * abs(cross)).sum() + ((size @ gram) * size).sum()
         assert error <= 1e-14 * magnitude
+        assert error <= 1e-5 * want
         if delta >= 1e-3:
             assert error <= 1e-9 * energy
 
-    def test_near_exact_fit_keeps_weights_finite(self):
-        """The precision rule's case: at delta = 1e-8 with p = n = 12 the
-        identity's rounding exceeds one modality's true squared residual.
-        Clamped at 0, that norm takes RESIDUAL_FLOOR, so its weight stays
-        positive; weights land within 1e-6 of the residual pass (5.5e-7
-        apart; 10 iterations instead of 8) and the codes are the reference's."""
+    def test_near_exact_fit_follows_residual_pass(self):
+        """At delta = 1e-8 with p = n = 12 the identity's rounding would
+        exceed a modality's squared residual, so the blocked residual pass
+        sets the weights: the fit runs the reference's iterations, its trace
+        does not rise, and its codes are the reference's. The weights agree
+        to 1e-7, not 1e-10, because the ridge system's conditioning, about
+        1/delta, amplifies rounding from one iteration to the next."""
         rng = np.random.default_rng(18)
         feats = [rng.standard_normal((3, 12)), rng.standard_normal((2, 12))]
         labels = [{i % 3} for i in range(12)]
         centers = build_center_table(8, 3, seed=0)
         config = TrainConfig(num_anchors=12, delta=1e-8)
         model = fit(feats, labels, centers, config=config)
-        projections, weights, _, converged, _ = reference_fit(feats, labels, centers, config)
-        assert np.all(model.train_weights > 0) and model.converged == converged
-        assert model.train_weights.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(model.train_weights, weights, rtol=0, atol=1e-6)
+        projections, weights, trace, converged = reference_fit(
+            feats, labels, centers, config
+        )
+        assert model.converged == converged
+        assert len(model.objective_trace) == len(trace)
+        assert np.all(np.diff(model.objective_trace) <= 0)
+        np.testing.assert_allclose(model.train_weights, weights, rtol=0, atol=1e-7)
         reference = TrainedModel(
             projections=projections,
             anchor_sets=model.anchor_sets,
@@ -464,6 +483,31 @@ class TestBlockedTraining:
         np.testing.assert_array_equal(
             fuse_encode_fixed(model, feats), fuse_encode_fixed(reference, feats)
         )
+
+    @pytest.mark.parametrize(
+        "num_samples, num_anchors, delta, near_exact",
+        [(60, 10, 1e-3, False), (12, 12, 1e-8, True)],
+    )
+    def test_residual_pass_runs_only_in_near_exact_fits(
+        self, monkeypatch, num_samples, num_anchors, delta, near_exact
+    ):
+        """The kernel map runs once per modality for G and B; a fit that is
+        not near exact takes every residual from the identity and maps no
+        more, while a near-exact one maps again for its residuals."""
+        calls = []
+
+        def counted(feats, anchor_set):
+            calls.append(anchor_set.modality_index)
+            return kernel._kernel_blocks(feats, anchor_set)
+
+        monkeypatch.setattr(training, "_kernel_blocks", counted)
+        rng = np.random.default_rng(18)
+        feats = [rng.standard_normal((d, num_samples)) for d in (3, 2)]
+        labels = [{i % 3} for i in range(num_samples)]
+        config = TrainConfig(num_anchors=num_anchors, delta=delta)
+        fit(feats, labels, build_center_table(8, 3, seed=0), config=config)
+        assert calls[: len(feats)] == [0, 1]
+        assert (len(calls) > len(feats)) == near_exact
 
     def test_fit_memory_holds_no_kernel_matrix(self):
         """Training memory is O(M p^2 + p KERNEL_BLOCK + r n): the peak stays
