@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .centers import HashCenterTable, assign_target_codes
 from .exceptions import (
@@ -118,9 +117,10 @@ def _objective_value(squared_residuals, projections, weights, delta) -> float:
 def update_projection(targets, kernel_features, weight: float, delta: float) -> np.ndarray:
     """Closed-form ridge solve for one modality's projection.
 
-    Solves ``W ((1/w) K K^T + delta I) = (1/w) T K^T`` through a Cholesky
-    factorization; the system is symmetric positive definite for any
-    ``delta > 0``, and no explicit inverse is formed.
+    Solves ``W ((1/w) K K^T + delta I) = (1/w) T K^T`` with an LU
+    factorization (numpy's ``linalg.solve``); the system is symmetric
+    positive definite for any ``delta > 0``, and no explicit inverse is
+    formed.
     """
     if weight <= 0:
         raise InvalidParameterError(f"weight must be positive, got {weight}")
@@ -136,16 +136,20 @@ def update_projection(targets, kernel_features, weight: float, delta: float) -> 
 
 
 def _ridge_solve(gram, cross, weight: float, delta: float) -> np.ndarray:
-    """``W`` solving ``W (G/w + delta I) = B/w`` for ``G = K K^T``, ``B = T K^T``."""
+    """``W`` solving ``W (G/w + delta I) = B/w`` for ``G = K K^T``, ``B = T K^T``.
+
+    The solve runs in numpy's LAPACK, like every other product of training.
+    scipy bundles a second OpenBLAS whose worker threads keep spinning for a
+    while after each call, so a scipy solve between numpy products leaves
+    each library's threads competing with the other's for the cores.
+    """
     p = gram.shape[0]
     system = gram / weight
     system.flat[:: p + 1] += delta
-    rhs = cross / weight
     try:
-        factor = cho_factor(system, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NumericalError("ridge system is not positive definite") from exc
-    return cho_solve(factor, rhs.T, check_finite=False).T
+        return np.linalg.solve(system, (cross / weight).T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("ridge system is singular") from exc
 
 
 def _gram_statistics(feats, anchor_set: AnchorSet, targets):
@@ -249,7 +253,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         for m in range(len(mats))
     ]
     # K_m is fixed during training, so its Gram statistics are computed once;
-    # each iteration then costs one Cholesky and O(r p^2) per modality.
+    # each iteration then costs one p x p solve and O(r p^2) per modality.
     statistics = [
         _gram_statistics(mats[m], anchor_sets[m], targets) for m in range(len(mats))
     ]
