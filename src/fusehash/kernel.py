@@ -28,9 +28,9 @@ KERNEL_BLOCK = 1024
 class AnchorSet:
     """Anchors of one modality plus the Gaussian width used with them.
 
-    Treat ``anchors`` as read-only: their squared norms are cached on first
-    use, outside the dataclass fields, so they are neither stored nor
-    compared.
+    Treat ``anchors`` as read-only: their squared norms and their -2
+    multiple are cached on first use, outside the dataclass fields, so they
+    are neither stored nor compared.
     """
 
     anchors: np.ndarray  # (d, p), columns are anchor points
@@ -42,6 +42,13 @@ class AnchorSet:
     def squared_norms(self) -> np.ndarray:
         """``||a_j||^2`` per anchor, shape (p, 1)."""
         return (self.anchors * self.anchors).sum(axis=0)[:, None]
+
+    @cached_property
+    def scaled_anchors(self) -> np.ndarray:
+        """``-2 a_j`` as columns, shape (d, p). Scaling by a power of two
+        does not round, so a product with them is exactly -2 times the
+        product with the anchors, and the map needs no pass for the -2."""
+        return -2.0 * self.anchors
 
 
 def select_anchors(
@@ -172,8 +179,7 @@ def require_finite(feats: np.ndarray, modality_index: int) -> np.ndarray:
 def _map_block(feats: np.ndarray, anchor_set: AnchorSet) -> np.ndarray:
     """The kernel map of validated float64 features, computed in place."""
     feat_norms = (feats * feats).sum(axis=0)[None, :]
-    sq = anchor_set.anchors.T @ feats
-    sq *= -2.0
+    sq = anchor_set.scaled_anchors.T @ feats
     sq += anchor_set.squared_norms
     sq += feat_norms
     np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation

@@ -188,7 +188,9 @@ class TestApplyKernel:
         names = [f.name for f in dataclasses.fields(AnchorSet)]
         assert names == ["anchors", "kernel_width", "modality_index", "seed"]
         assert "squared_norms" not in repr(anchor_set)
+        assert "scaled_anchors" not in repr(anchor_set)
         np.testing.assert_array_equal(anchor_set.squared_norms, [[2.0], [2.0], [2.0]])
+        np.testing.assert_array_equal(anchor_set.scaled_anchors, -2.0 * np.ones((2, 3)))
 
 
 # Small enough that a handful of columns spans several blocks; a multiple
