@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centers import audit_centers, build_center_table, required_order
+from .centers import audit_centers, build_center_table, count_classes, required_order
 from .encoding import (
     EncodeResult,
     FailedBatch,
@@ -56,8 +56,7 @@ def train_on_bundle(
     """Fit a model on the bundle's train split; returns (model, centers)."""
     if config is None:
         config = TrainConfig(seed=seed)
-    num_classes = max(max(s) for s in bundle.labels if s) + 1
-    centers = build_center_table(bits, num_classes, seed)
+    centers = build_center_table(bits, count_classes(bundle.labels), seed)
     model = fit(
         bundle.features_at(bundle.train_indices),
         bundle.labels_at(bundle.train_indices),
@@ -68,22 +67,16 @@ def train_on_bundle(
 
 
 def retrieval_map(
-    model: TrainedModel,
-    bundle: DatasetBundle,
-    mode: str = "adaptive",
-    cutoff: int | None = None,
+    model: TrainedModel, bundle: DatasetBundle, cutoff: int | None = None
 ) -> float:
     """mAP of the bundle's query split against its retrieval split.
 
-    Database codes always come from the training-weight hash function; the
-    query side is encoded per ``mode``.
+    Database codes come from the training-weight hash function and query
+    codes from the adaptive encoder.
     """
     db_codes = fuse_encode_fixed(model, bundle.features_at(bundle.retrieval_indices))
     batch = QueryBatch(features=bundle.features_at(bundle.query_indices))
-    if mode == "adaptive":
-        result = encode_adaptive(model, batch)
-    else:
-        result = encode_fixed(model, batch)
+    result = encode_adaptive(model, batch)
     report = mean_average_precision(
         result.codes,
         bundle.labels_at(bundle.query_indices),
@@ -161,19 +154,16 @@ def run_ablation(
 
 
 def sweep_delta(
-    bundle: DatasetBundle,
-    bits: int,
-    deltas=DELTA_SWEEP,
-    seed: int = 0,
-    cutoff: int | None = None,
+    bundle: DatasetBundle, bits: int, seed: int = 0, cutoff: int | None = None
 ) -> list[tuple[float, float]]:
-    """Retrain per delta and score adaptive-query mAP; returns (delta, mAP) pairs."""
+    """Retrain per delta of ``DELTA_SWEEP`` and score adaptive-query mAP;
+    returns (delta, mAP) pairs."""
     results = []
-    for delta in deltas:
+    for delta in DELTA_SWEEP:
         model, _ = train_on_bundle(
             bundle, bits, seed=seed, config=TrainConfig(delta=delta, seed=seed)
         )
-        results.append((float(delta), retrieval_map(model, bundle, mode="adaptive", cutoff=cutoff)))
+        results.append((delta, retrieval_map(model, bundle, cutoff=cutoff)))
     return results
 
 

@@ -185,6 +185,17 @@ def build_center_table(
     )
 
 
+def count_classes(labels) -> int:
+    """Categories that the label sets span: the largest label id plus one.
+
+    Raises :class:`LabelError` when no sample carries a label.
+    """
+    largest = max((max(s) for s in labels if s), default=None)
+    if largest is None:
+        raise LabelError("no sample carries a label")
+    return largest + 1
+
+
 def assign_target_codes(table: HashCenterTable, labels) -> np.ndarray:
     """Per-sample target codes as an ``(r, n)`` int8 matrix.
 

@@ -23,14 +23,13 @@ from .bench import (
     sweep_delta,
     train_on_bundle,
 )
-from .centers import audit_centers, build_center_table
+from .centers import audit_centers, build_center_table, count_classes
 from .encoding import FailedBatch, QueryBatch, encode_stream
 from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
 from .exceptions import (
     CorruptFileError,
     FusehashError,
     InvalidParameterError,
-    LabelError,
     ShapeError,
 )
 from .storage import (
@@ -39,7 +38,6 @@ from .storage import (
     load_features,
     load_labels,
     load_model,
-    read_manifest,
     store_bundle,
     store_centers,
     store_codes,
@@ -161,7 +159,8 @@ def cmd_centers(args) -> int:
 def _training_inputs(args):
     if args.bundle:
         bundle = load_bundle(args.bundle)
-        num_classes = read_manifest(args.bundle)["num_classes"]
+        # Over the whole bundle, as train_on_bundle counts them.
+        num_classes = count_classes(bundle.labels)
         features = bundle.features_at(bundle.train_indices)
         labels = bundle.labels_at(bundle.train_indices)
     else:
@@ -171,9 +170,7 @@ def _training_inputs(args):
             )
         features = [load_features(path) for path in args.features]
         labels = load_labels(args.labels)
-        if not any(labels):
-            raise LabelError(f"{args.labels}: no labels present")
-        num_classes = max(max(s) for s in labels if s) + 1
+        num_classes = count_classes(labels)
     return features, labels, num_classes
 
 

@@ -3,7 +3,8 @@
 The trained projections stay frozen; each arriving batch gets its own
 modality weights, learned by alternating a sign step for the codes with a
 residual-proportional weight step. Modalities absent from a batch carry
-weight zero and drop out of the fusion.
+weight zero and drop out of the fusion. The sign step is training's
+``_fuse_signs``, the one every encoder uses.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from .exceptions import (
     ShapeError,
 )
 from .kernel import apply_kernel
-from .packing import sign_to_pm1
-from .training import TrainedModel, update_weights
+from .training import TrainedModel, _fuse_signs, update_weights
 
 ENCODE_MODES = ("adaptive", "fixed")
+
+# Stopping rule of the adaptive encoder: at most MAX_ITERS sign steps, and a
+# stop once the objective changes by at most REL_TOL of its previous value.
+MAX_ITERS = 30
+REL_TOL = 1e-5
 
 
 @dataclass
@@ -89,42 +94,30 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
     return present, projected
 
 
-def _fuse_codes(present, projected, weights) -> np.ndarray:
-    """Sign step: codes from the weight-fused projections (exact minimizer)."""
-    fused = None
-    for m in present:
-        term = projected[m] / weights[m]
-        fused = term if fused is None else fused + term
-    return sign_to_pm1(fused)
+def _squared_residuals(present, projected, codes) -> np.ndarray:
+    """``||codes - P_m||_F^2`` per present modality, from one residual each.
+
+    The square is the dot product that ``np.linalg.norm`` takes, so
+    ``np.sqrt`` of it is that norm bit for bit.
+    """
+    squared = np.empty(len(present))
+    for i, m in enumerate(present):
+        resid = (codes - projected[m]).ravel()
+        squared[i] = resid.dot(resid)
+    return squared
 
 
-def _batch_objective(present, projected, codes, weights) -> float:
-    total = 0.0
-    for m in present:
-        resid = codes - projected[m]
-        total += (resid * resid).sum() / weights[m]
-    return float(total)
-
-
-def encode_adaptive(
-    model: TrainedModel,
-    batch: QueryBatch,
-    max_iters: int = 30,
-    rel_tol: float = 1e-5,
-) -> EncodeResult:
+def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     """Encode one batch with weights adapted to its content.
 
     Weights start uniform over the present modalities. Each iteration takes
     the sign of the weight-fused projections, then rebalances the weights
-    from the per-modality residual norms. Both steps solve their subproblem
-    exactly, so the recorded objective never increases. Stops on a weight or
-    code fixpoint, on relative objective change below ``rel_tol``, or after
-    ``max_iters`` iterations.
+    from the per-modality residual norms; the objective
+    ``sum_m ||codes - P_m||^2 / w_m`` comes from the same residuals. Both
+    steps solve their subproblem exactly, so the recorded objective never
+    increases. Stops on a code or weight fixpoint, on a relative objective
+    change of at most ``REL_TOL``, or after ``MAX_ITERS`` sign steps.
     """
-    if max_iters < 1:
-        raise InvalidParameterError(f"max_iters must be at least 1, got {max_iters}")
-    if rel_tol <= 0:
-        raise InvalidParameterError(f"rel_tol must be positive, got {rel_tol}")
     present, projected = _project_batch(model, batch)
 
     weights = np.zeros(model.num_modalities)
@@ -132,26 +125,21 @@ def encode_adaptive(
     codes = None
     trace: list[float] = []
     iterations = 0
-    for _ in range(max_iters):
-        new_codes = _fuse_codes(present, projected, weights)
+    for _ in range(MAX_ITERS):
+        new_codes = _fuse_signs(projected[m] / weights[m] for m in present)
         iterations += 1
         if codes is not None and np.array_equal(new_codes, codes):
-            codes = new_codes
             break
         codes = new_codes
+        squared = _squared_residuals(present, projected, codes)
         new_weights = np.zeros(model.num_modalities)
-        new_weights[present] = update_weights(
-            [float(np.linalg.norm(codes - projected[m])) for m in present]
-        )
-        value = _batch_objective(present, projected, codes, new_weights)
+        new_weights[present] = update_weights(np.sqrt(squared))
+        value = float((squared / new_weights[present]).sum())
         trace.append(value)
         if np.array_equal(new_weights, weights):
-            weights = new_weights
             break
         weights = new_weights
-        if len(trace) > 1 and abs(trace[-2] - value) <= rel_tol * max(
-            abs(trace[-2]), 1e-300
-        ):
+        if len(trace) > 1 and abs(trace[-2] - value) <= REL_TOL * max(abs(trace[-2]), 1e-300):
             break
 
     return EncodeResult(
@@ -174,13 +162,13 @@ def encode_fixed(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
         weights = np.zeros(model.num_modalities)
         train = model.train_weights[present]
         weights[present] = train / train.sum()
-    codes = _fuse_codes(present, projected, weights)
-    trace = [_batch_objective(present, projected, codes, weights)]
+    codes = _fuse_signs(projected[m] / weights[m] for m in present)
+    squared = _squared_residuals(present, projected, codes)
     return EncodeResult(
         codes=codes,
         dynamic_weights=weights,
         iterations=1,
-        objective_trace=trace,
+        objective_trace=[float((squared / weights[present]).sum())],
     )
 
 

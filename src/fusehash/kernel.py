@@ -52,17 +52,13 @@ class AnchorSet:
 
 
 def select_anchors(
-    features,
-    num_anchors: int,
-    seed: int,
-    modality_index: int = 0,
-    kernel_width: float | None = None,
+    features, num_anchors: int, seed: int, modality_index: int = 0
 ) -> AnchorSet:
     """Draw anchors uniformly without replacement from the feature columns.
 
-    The kernel width defaults to the mean pairwise Euclidean distance among
-    the selected anchors, estimated from at most ``MAX_WIDTH_PAIRS`` pairs
-    when the anchor count is large; pass ``kernel_width`` to override.
+    The kernel width is the mean pairwise Euclidean distance among the
+    selected anchors, estimated from at most ``MAX_WIDTH_PAIRS`` pairs when
+    the anchor count is large, or 1 for a single anchor or a zero mean.
     Deterministic under a fixed seed.
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -78,15 +74,9 @@ def select_anchors(
     rng = np.random.default_rng(seed)
     indices = rng.choice(n, size=num_anchors, replace=False)
     anchors = feats[:, indices].copy()
-    if kernel_width is None:
-        kernel_width = _mean_anchor_distance(anchors, rng)
-    if kernel_width <= 0:
-        raise InvalidParameterError(
-            f"kernel_width must be positive, got {kernel_width}"
-        )
     return AnchorSet(
         anchors=anchors,
-        kernel_width=float(kernel_width),
+        kernel_width=_mean_anchor_distance(anchors, rng),
         modality_index=modality_index,
         seed=seed,
     )
@@ -137,7 +127,8 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
         )
     if projection is None:
-        return _map_block(require_finite(feats, anchor_set.modality_index), anchor_set)
+        name = f"modality {anchor_set.modality_index} features"
+        return _map_block(require_finite(feats, name), anchor_set)
     proj = np.asarray(projection, dtype=np.float64)
     if proj.ndim != 2 or proj.shape[1] != anchors.shape[1]:
         raise ShapeError(
@@ -162,18 +153,20 @@ def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet):
     kernel values are alive at a time when the caller drops each.
     """
     n = feats.shape[1]
+    name = f"modality {anchor_set.modality_index} features"
     edges = [*range(0, max(n - KERNEL_BLOCK, 0) + 1, KERNEL_BLOCK), n]
     for start, stop in zip(edges, edges[1:]):
-        block = require_finite(feats[:, start:stop], anchor_set.modality_index)
+        block = require_finite(feats[:, start:stop], name)
         yield start, stop, _map_block(block, anchor_set)
 
 
-def require_finite(feats: np.ndarray, modality_index: int) -> np.ndarray:
-    """Return ``feats``, or raise :class:`NumericalError` naming the modality
-    when any entry is NaN or infinite."""
-    if not np.isfinite(feats).all():
-        raise NumericalError(f"modality {modality_index} has non-finite features")
-    return feats
+def require_finite(values, name: str) -> np.ndarray:
+    """``values`` as float64, or :class:`NumericalError` naming them when any
+    entry is NaN or infinite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{name} hold a NaN or an infinity")
+    return values
 
 
 def _map_block(feats: np.ndarray, anchor_set: AnchorSet) -> np.ndarray:

@@ -23,7 +23,7 @@ from .exceptions import (
     NumericalError,
     ShapeError,
 )
-from .kernel import AnchorSet, _kernel_blocks, apply_kernel, select_anchors
+from .kernel import AnchorSet, _kernel_blocks, apply_kernel, require_finite, select_anchors
 from .packing import sign_to_pm1
 
 # Residual norms are clamped here before normalizing, so an exact fit
@@ -45,7 +45,6 @@ class TrainConfig:
     rel_tol: float = 1e-5
     seed: int = 0
     num_anchors: int = 1000  # clamped to the training-set size
-    kernel_width: float | None = None  # overrides the width heuristic
 
     def validate(self) -> None:
         if self.delta <= 0:
@@ -93,12 +92,14 @@ def objective(projections, weights, kernel_features, targets, delta) -> float:
     """Weighted ridge objective over all modalities.
 
     ``sum_m (1/w_m) ||T - W_m K_m||_F^2 + delta * sum_m ||W_m||_F^2`` with
-    targets ``T``, kernel features ``K_m``, and weights ``w``.
+    targets ``T``, kernel features ``K_m``, and weights ``w``. Raises
+    :class:`NumericalError` when a target or kernel feature is NaN or
+    infinite.
     """
-    t = np.asarray(targets, dtype=np.float64)
+    t = require_finite(targets, "targets")
     squared_residuals = []
-    for proj, feats in zip(projections, kernel_features):
-        resid = t - proj @ feats
+    for m, (proj, feats) in enumerate(zip(projections, kernel_features)):
+        resid = t - proj @ require_finite(feats, f"modality {m} kernel features")
         squared_residuals.append((resid * resid).sum())
     return _objective_value(squared_residuals, projections, weights, delta)
 
@@ -120,14 +121,15 @@ def update_projection(targets, kernel_features, weight: float, delta: float) -> 
     Solves ``W ((1/w) K K^T + delta I) = (1/w) T K^T`` with an LU
     factorization (numpy's ``linalg.solve``); the system is symmetric
     positive definite for any ``delta > 0``, and no explicit inverse is
-    formed.
+    formed. Raises :class:`NumericalError` when a target or kernel feature
+    is NaN or infinite.
     """
     if weight <= 0:
         raise InvalidParameterError(f"weight must be positive, got {weight}")
     if delta <= 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    t = np.asarray(targets, dtype=np.float64)
-    feats = np.asarray(kernel_features, dtype=np.float64)
+    t = require_finite(targets, "targets")
+    feats = require_finite(kernel_features, "kernel features")
     if t.ndim != 2 or feats.ndim != 2 or t.shape[1] != feats.shape[1]:
         raise ShapeError(
             f"targets {t.shape} and kernel features {feats.shape} disagree on samples"
@@ -243,13 +245,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     targets = assign_target_codes(centers, labels).astype(np.float64)
     num_anchors = min(config.num_anchors, n)
     anchor_sets = [
-        select_anchors(
-            mats[m],
-            num_anchors,
-            config.seed,
-            modality_index=m,
-            kernel_width=config.kernel_width,
-        )
+        select_anchors(mats[m], num_anchors, config.seed, modality_index=m)
         for m in range(len(mats))
     ]
     # K_m is fixed during training, so its Gram statistics are computed once;
@@ -294,24 +290,36 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     )
 
 
-def fuse_encode_fixed(model: TrainedModel, features) -> np.ndarray:
-    """Sign of the training-weight-fused projection of full-modality data.
+def _fuse_signs(scaled_terms) -> np.ndarray:
+    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` from the
+    terms ``P_m / w_m`` in modality order.
 
-    This is the fixed-weight hash function: each modality contributes its
-    projection scaled by the reciprocal of its training weight. Each term
-    comes from the blocked projected kernel map and is added into one
-    ``(r, n)`` accumulator, so no ``(p, n)`` kernel matrix is built.
+    Each term must be a fresh array: the sum accumulates into the first in
+    place. Given a generator, it holds one term besides the sum at a time.
     """
-    if len(features) != model.num_modalities:
-        raise ShapeError(
-            f"model has {model.num_modalities} modalities, got {len(features)}"
-        )
     fused = None
-    for m in range(model.num_modalities):
-        term = apply_kernel(features[m], model.anchor_sets[m], model.projections[m])
-        term /= model.train_weights[m]
+    for term in scaled_terms:
         if fused is None:
             fused = term
         else:
             fused += term
     return sign_to_pm1(fused)
+
+
+def fuse_encode_fixed(model: TrainedModel, features) -> np.ndarray:
+    """Sign of the training-weight-fused projection of full-modality data.
+
+    This is the fixed-weight hash function: each modality contributes its
+    projection scaled by the reciprocal of its training weight. Each term
+    comes from the blocked projected kernel map, is scaled in place and is
+    added into one ``(r, n)`` sum, so no ``(p, n)`` kernel matrix is built.
+    """
+    if len(features) != model.num_modalities:
+        raise ShapeError(
+            f"model has {model.num_modalities} modalities, got {len(features)}"
+        )
+    projected = (
+        apply_kernel(feats, anchor_set, proj)
+        for feats, anchor_set, proj in zip(features, model.anchor_sets, model.projections)
+    )
+    return _fuse_signs(np.divide(p, w, out=p) for p, w in zip(projected, model.train_weights))

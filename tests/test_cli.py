@@ -388,6 +388,21 @@ class TestBenchAndStudies:
         assert deltas == list(bench.DELTA_SWEEP)
         assert lines[-1].startswith("map_range=")
 
+    @pytest.mark.parametrize("command", ["train", "sweep-delta", "ablate"])
+    def test_unlabelled_bundle_is_a_label_error(self, workspace, capsys, tmp_path, command):
+        """Every command that counts classes names the missing labels."""
+        from fusehash import load_bundle, store_bundle
+
+        bundle = load_bundle(workspace["bundle"])
+        bundle.labels = [set() for _ in bundle.labels]
+        store_bundle(bundle, tmp_path / "unlabelled")
+        argv = [command, "--bundle", str(tmp_path / "unlabelled"), "--bits", "8"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "model.amfh")]
+        code, _, stderr = run(argv, capsys)
+        assert code == 1
+        assert stderr.startswith("error: LabelError:")
+
     def test_ablate_reports_both_modes(self, workspace, capsys):
         code, stdout, _ = run([
             "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",

@@ -48,12 +48,6 @@ class TestSelectAnchors:
         anchor_set = select_anchors(feats, 2, seed=0)
         assert anchor_set.kernel_width == pytest.approx(3.0)
 
-    def test_width_override(self):
-        rng = np.random.default_rng(2)
-        feats = rng.standard_normal((3, 8))
-        anchor_set = select_anchors(feats, 4, seed=0, kernel_width=0.7)
-        assert anchor_set.kernel_width == 0.7
-
     def test_width_heuristic_matches_mean_pairwise_distance(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((6, 15))
@@ -72,8 +66,6 @@ class TestSelectAnchors:
             select_anchors(feats, 0, seed=0)
         with pytest.raises(InvalidParameterError):
             select_anchors(feats, 6, seed=0)
-        with pytest.raises(InvalidParameterError):
-            select_anchors(np.random.default_rng(0).standard_normal((3, 5)), 2, seed=0, kernel_width=-1.0)
 
 
 class TestApplyKernel:

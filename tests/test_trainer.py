@@ -203,6 +203,21 @@ class TestUpdateProjection:
             update_projection(np.ones((2, 3)), np.ones((2, 4)), weight=0.5, delta=0.1)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["targets", "kernel features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_and_objective_raise(self, where, bad):
+        """A NaN or infinity raises instead of coming out as NaN."""
+        rng = np.random.default_rng(19)
+        targets = sign_to_pm1(rng.standard_normal((4, 20))).astype(np.float64)
+        feats = rng.standard_normal((5, 20))
+        (targets if where == "targets" else feats)[2, 7] = bad
+        with pytest.raises(NumericalError, match=where):
+            update_projection(targets, feats, weight=0.5, delta=0.1)
+        with pytest.raises(NumericalError, match=where):
+            objective([np.zeros((4, 5))], np.array([1.0]), [feats], targets, delta=0.1)
+
+
 class TestUpdateWeights:
     def test_equal_norms_split_evenly(self):
         weights = update_weights(np.array([2.0, 2.0]))
