@@ -47,16 +47,11 @@ DELTA_SWEEP = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 ABLATION_NOISE_SCALE = 2.0
 
 
-def train_on_bundle(
-    bundle: DatasetBundle,
-    bits: int,
-    seed: int = 0,
-    config: TrainConfig | None = None,
-):
-    """Fit a model on the bundle's train split; returns (model, centers)."""
-    if config is None:
-        config = TrainConfig(seed=seed)
-    centers = build_center_table(bits, count_classes(bundle.labels), seed)
+def train_on_bundle(bundle: DatasetBundle, bits: int, config: TrainConfig | None = None):
+    """Fit a model on the bundle's train split; returns (model, centers).
+    ``config.seed`` seeds both the center table and the anchors."""
+    config = TrainConfig() if config is None else config
+    centers = build_center_table(bits, count_classes(bundle.labels), config.seed)
     model = fit(
         bundle.features_at(bundle.train_indices),
         bundle.labels_at(bundle.train_indices),
@@ -160,9 +155,7 @@ def sweep_delta(
     returns (delta, mAP) pairs."""
     results = []
     for delta in DELTA_SWEEP:
-        model, _ = train_on_bundle(
-            bundle, bits, seed=seed, config=TrainConfig(delta=delta, seed=seed)
-        )
+        model, _ = train_on_bundle(bundle, bits, TrainConfig(delta=delta, seed=seed))
         results.append((delta, retrieval_map(model, bundle, cutoff=cutoff)))
     return results
 
@@ -376,7 +369,7 @@ def c05_weighted_sum_grid_matches_squared_norm_sum(seed: int) -> str:
 
 def c06_training_converges_quickly(seed: int) -> str:
     """On the standard bundle the trace is monotone and settles fast."""
-    model, _ = train_on_bundle(_standard_bundle(seed), 16, seed=seed)
+    model, _ = train_on_bundle(_standard_bundle(seed), 16, TrainConfig(seed=seed))
     trace = np.asarray(model.objective_trace)
     _expect(
         np.all(np.diff(trace) <= 1e-9 * np.abs(trace[:-1])),
@@ -397,7 +390,7 @@ def c07_end_to_end_retrieval_quality(seed: int) -> str:
     scores = []
     for spread in (0.3, 0.0):
         bundle = _standard_bundle(seed, spread)
-        model, _ = train_on_bundle(bundle, 16, seed=seed)
+        model, _ = train_on_bundle(bundle, 16, TrainConfig(seed=seed))
         scores.append(retrieval_map(model, bundle))
     score, clean_score = scores
     _expect(score >= 0.95, f"spread 0.3 mAP {score:.4f} below 0.95")
@@ -410,7 +403,7 @@ def c08_adaptive_beats_fixed_on_noisy_stream(seed: int) -> str:
     # Wider clusters than c07: with fully separable data both modes score
     # 1.0 and the comparison is vacuous.
     bundle = _standard_bundle(seed, spread=1.0)
-    model, _ = train_on_bundle(bundle, 16, seed=seed)
+    model, _ = train_on_bundle(bundle, 16, TrainConfig(seed=seed))
     result = run_ablation(model, bundle, batch_size=10, seed=seed)
     detail = (
         f"adaptive {result.adaptive_map:.4f} vs fixed {result.fixed_map:.4f}, "
@@ -524,7 +517,7 @@ def c10_evaluator_exactness(seed: int) -> str:
 def c11_missing_modality_single_projection_identity(seed: int) -> str:
     """With one modality absent the code is the other's projection sign."""
     bundle = _standard_bundle(seed)
-    model, _ = train_on_bundle(bundle, 16, seed=seed)
+    model, _ = train_on_bundle(bundle, 16, TrainConfig(seed=seed))
     feats = bundle.features_at(bundle.query_indices)
     for present in (0, 1):
         features = [None, None]

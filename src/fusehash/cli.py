@@ -24,7 +24,7 @@ from .bench import (
     train_on_bundle,
 )
 from .centers import audit_centers, build_center_table, count_classes
-from .encoding import FailedBatch, QueryBatch, encode_stream
+from .encoding import ENCODE_MODES, FailedBatch, QueryBatch, encode_stream
 from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
 from .exceptions import (
     CorruptFileError,
@@ -45,6 +45,9 @@ from .storage import (
 )
 from .synth import SynthSpec, generate_synthetic
 from .training import TrainConfig, fit
+
+# The bundle splits that encode and eval can select.
+SPLITS = ("train", "query", "retrieval", "all")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -156,35 +159,19 @@ def cmd_centers(args) -> int:
     return 0 if audit.passed else 1
 
 
-def _training_inputs(args):
+def cmd_train(args) -> int:
+    config = TrainConfig(delta=args.delta, seed=args.seed, num_anchors=args.anchors)
     if args.bundle:
-        bundle = load_bundle(args.bundle)
-        # Over the whole bundle, as train_on_bundle counts them.
-        num_classes = count_classes(bundle.labels)
-        features = bundle.features_at(bundle.train_indices)
-        labels = bundle.labels_at(bundle.train_indices)
-    else:
-        if not args.features or not args.labels:
-            raise InvalidParameterError(
-                "train needs either --bundle or both --features and --labels"
-            )
+        model, _ = train_on_bundle(load_bundle(args.bundle), args.bits, config)
+    elif args.features and args.labels:
         features = [load_features(path) for path in args.features]
         labels = load_labels(args.labels)
-        num_classes = count_classes(labels)
-    return features, labels, num_classes
-
-
-def cmd_train(args) -> int:
-    features, labels, num_classes = _training_inputs(args)
-    centers = build_center_table(args.bits, num_classes, args.seed)
-    config = TrainConfig(
-        delta=args.delta,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        seed=args.seed,
-        num_anchors=args.anchors,
-    )
-    model = fit(features, labels, centers, config)
+        centers = build_center_table(args.bits, count_classes(labels), config.seed)
+        model = fit(features, labels, centers, config)
+    else:
+        raise InvalidParameterError(
+            "train needs either --bundle or both --features and --labels"
+        )
     store_model(model, args.out)
     weights = ",".join(f"{w:.6f}" for w in model.train_weights)
     print(
@@ -270,12 +257,10 @@ def cmd_query(args) -> int:
 
 
 def _split_indices(bundle, name: str):
-    return {
-        "train": bundle.train_indices,
-        "query": bundle.query_indices,
-        "retrieval": bundle.retrieval_indices,
-        "all": np.arange(bundle.num_samples),
-    }[name]
+    """Indices of one of ``SPLITS``; "all" is every sample."""
+    if name == "all":
+        return np.arange(bundle.num_samples)
+    return getattr(bundle, f"{name}_indices")
 
 
 def cmd_eval(args) -> int:
@@ -319,9 +304,7 @@ def cmd_sweep_delta(args) -> int:
 
 def cmd_ablate(args) -> int:
     bundle = load_bundle(args.bundle)
-    model, _ = train_on_bundle(
-        bundle, args.bits, seed=args.seed, config=TrainConfig(delta=args.delta, seed=args.seed)
-    )
+    model, _ = train_on_bundle(bundle, args.bits, TrainConfig(delta=args.delta, seed=args.seed))
     result = run_ablation(
         model,
         bundle,
@@ -373,17 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1e-3)
     p.add_argument("--anchors", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="encode features into binary codes")
     p.add_argument("--model", required=True)
     p.add_argument("--bundle", help="bundle directory to encode")
-    p.add_argument("--split", choices=("train", "query", "retrieval", "all"), default="query")
+    p.add_argument("--split", choices=SPLITS, default="query")
     p.add_argument("--features", nargs="+", help="per-modality feature files ('-' = missing)")
-    p.add_argument("--mode", choices=("adaptive", "fixed"), default="adaptive")
+    p.add_argument("--mode", choices=ENCODE_MODES, default="adaptive")
     p.add_argument("--batch-size", type=int, default=0, help="0 = one batch")
     p.add_argument("--missing", help="comma-separated missing modality indices")
     p.add_argument("--weights-trace", help="write per-batch weights to this file")
@@ -402,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels", help="label file for the queries")
     p.add_argument("--db-labels", help="label file for the database")
     p.add_argument("--bundle", help="derive labels from this bundle's splits instead")
-    p.add_argument("--query-split", choices=("train", "query", "retrieval", "all"), default="query")
-    p.add_argument("--db-split", choices=("train", "query", "retrieval", "all"), default="retrieval")
+    p.add_argument("--query-split", choices=SPLITS, default="query")
+    p.add_argument("--db-split", choices=SPLITS, default="retrieval")
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--per-query", action="store_true", help="include per-query APs in --out")
     p.add_argument("--out", help="write a key-value report here")

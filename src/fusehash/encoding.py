@@ -20,14 +20,13 @@ from .exceptions import (
     ShapeError,
 )
 from .kernel import apply_kernel
-from .training import TrainedModel, _fuse_signs, update_weights
+from .training import TrainedModel, _fuse_signs, _settled, update_weights
 
 ENCODE_MODES = ("adaptive", "fixed")
 
-# Stopping rule of the adaptive encoder: at most MAX_ITERS sign steps, and a
-# stop once the objective changes by at most REL_TOL of its previous value.
+# Cap on the adaptive encoder's sign steps; its relative stop is training's
+# ``_settled``.
 MAX_ITERS = 30
-REL_TOL = 1e-5
 
 
 @dataclass
@@ -116,7 +115,8 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     ``sum_m ||codes - P_m||^2 / w_m`` comes from the same residuals. Both
     steps solve their subproblem exactly, so the recorded objective never
     increases. Stops on a code or weight fixpoint, on a relative objective
-    change of at most ``REL_TOL``, or after ``MAX_ITERS`` sign steps.
+    change of at most ``training.REL_TOL`` (training's ``_settled``), or
+    after ``MAX_ITERS`` sign steps.
     """
     present, projected = _project_batch(model, batch)
 
@@ -139,7 +139,7 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
         if np.array_equal(new_weights, weights):
             break
         weights = new_weights
-        if len(trace) > 1 and abs(trace[-2] - value) <= REL_TOL * max(abs(trace[-2]), 1e-300):
+        if len(trace) > 1 and _settled(trace[-2], value):
             break
 
     return EncodeResult(

@@ -304,11 +304,9 @@ def store_bundle(bundle: DatasetBundle, directory) -> None:
     """Write a dataset bundle as a directory of AMFH and text files."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    num_classes = max((max(s, default=-1) for s in bundle.labels), default=-1) + 1
     manifest = [
         f"num_modalities={len(bundle.modalities)}",
         f"num_samples={bundle.num_samples}",
-        f"num_classes={num_classes}",
     ]
     (path / "manifest.txt").write_text("\n".join(manifest) + "\n")
     for m, mat in enumerate(bundle.modalities):
@@ -325,6 +323,9 @@ def store_bundle(bundle: DatasetBundle, directory) -> None:
 
 
 def read_manifest(directory) -> dict[str, int]:
+    """The bundle's ``key=value`` manifest; ``num_modalities`` and
+    ``num_samples`` are required, other keys (older bundles carry
+    ``num_classes``) are kept but unused."""
     path = Path(directory) / "manifest.txt"
     if not path.is_file():
         raise CorruptFileError(f"{directory}: missing manifest.txt")
@@ -340,7 +341,7 @@ def read_manifest(directory) -> dict[str, int]:
             values[key.strip()] = int(value.strip())
         except ValueError as exc:
             raise CorruptFileError(f"{path}: non-integer manifest value {line!r}") from exc
-    for key in ("num_modalities", "num_samples", "num_classes"):
+    for key in ("num_modalities", "num_samples"):
         if key not in values:
             raise CorruptFileError(f"{path}: manifest misses key {key!r}")
     return values

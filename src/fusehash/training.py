@@ -35,28 +35,30 @@ RESIDUAL_FLOOR = 1e-12
 # about eps times that size, would exceed ~2e-6 of the residual there.
 NEAR_EXACT_SHARE = 1e-10
 
+# Stopping rule of training: at most MAX_ITERS iterations, and a stop once
+# the objective changes by at most REL_TOL of its previous value. The
+# adaptive encoder stops on the same relative change, with its own cap.
+MAX_ITERS = 50
+REL_TOL = 1e-5
+
+
+def _settled(previous: float, value: float) -> bool:
+    """Whether the objective moved from ``previous`` to ``value`` by at most
+    ``REL_TOL`` of ``previous``: the relative stop of both alternations."""
+    return abs(previous - value) <= REL_TOL * max(abs(previous), 1e-300)
+
 
 @dataclass
 class TrainConfig:
     """Knobs of the offline training stage."""
 
     delta: float = 1e-3
-    max_iters: int = 50
-    rel_tol: float = 1e-5
     seed: int = 0
     num_anchors: int = 1000  # clamped to the training-set size
 
     def validate(self) -> None:
         if self.delta <= 0:
             raise InvalidParameterError(f"delta must be positive, got {self.delta}")
-        if self.max_iters < 1:
-            raise InvalidParameterError(
-                f"max_iters must be at least 1, got {self.max_iters}"
-            )
-        if self.rel_tol <= 0:
-            raise InvalidParameterError(
-                f"rel_tol must be positive, got {self.rel_tol}"
-            )
         if self.num_anchors < 1:
             raise InvalidParameterError(
                 f"num_anchors must be positive, got {self.num_anchors}"
@@ -210,7 +212,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     samples; ``labels`` one label set per sample. Weights start uniform;
     each iteration refits every projection, rebalances the weights, and
     appends the objective to the trace. Stops when the relative objective
-    change drops below ``config.rel_tol`` or after ``config.max_iters``
+    change is at most ``REL_TOL`` (:func:`_settled`) or after ``MAX_ITERS``
     iterations. Deterministic for fixed inputs and seeds. Raises
     :class:`NumericalError` naming the modality when a training feature is
     NaN or infinite.
@@ -260,7 +262,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     trace: list[float] = []
     converged = False
     projections: list[np.ndarray] = []
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         projections = [
             _ridge_solve(gram, cross, weight, config.delta)
             for (gram, cross), weight in zip(statistics, weights)
@@ -273,7 +275,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         ]
         weights = update_weights(np.sqrt(squared_residuals))
         value = _objective_value(squared_residuals, projections, weights, config.delta)
-        if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
+        if trace and _settled(trace[-1], value):
             trace.append(value)
             converged = True
             break

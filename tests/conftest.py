@@ -5,7 +5,7 @@ Both are session-scoped; tests must not mutate them.
 
 import pytest
 
-from fusehash import SynthSpec, generate_synthetic, train_on_bundle
+from fusehash import SynthSpec, TrainConfig, generate_synthetic, train_on_bundle
 
 
 @pytest.fixture(scope="session")
@@ -39,5 +39,5 @@ def hard_bundle():
 @pytest.fixture(scope="session")
 def trained_standard(standard_bundle):
     """16-bit model fitted on the standard bundle's train split."""
-    model, centers = train_on_bundle(standard_bundle, 16, seed=11)
+    model, centers = train_on_bundle(standard_bundle, 16, TrainConfig(seed=11))
     return model, centers

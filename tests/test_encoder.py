@@ -17,6 +17,7 @@ from fusehash import (
     encode_adaptive,
     encode_fixed,
     encode_stream,
+    encoding,
     fuse_encode_fixed,
     kernel,
     make_noisy_stream,
@@ -53,10 +54,12 @@ def toy_model(rng, code_length, dims, weights=None):
     )
 
 
-def reference_encode(model, batch):
+def reference_encode(model, batch, max_iters=30):
     """The adaptive encoder spelled out with public pieces: the whole kernel
     map projected at once, one ``np.linalg.norm`` per residual, a
-    pairwise-sum objective, and the stopping constants 30 and 1e-5."""
+    pairwise-sum objective, a relative stop at 1e-5, and a cap of
+    ``max_iters`` sign steps (30 unless a test patches
+    ``encoding.MAX_ITERS``)."""
     present = batch.present_modalities
     projected = {
         m: model.projections[m] @ apply_kernel(batch.features[m], model.anchor_sets[m])
@@ -65,7 +68,7 @@ def reference_encode(model, batch):
     weights = np.zeros(model.num_modalities)
     weights[present] = 1.0 / len(present)
     codes, trace, iterations = None, [], 0
-    for _ in range(30):
+    for _ in range(max_iters):
         fused = projected[present[0]] / weights[present[0]]
         for m in present[1:]:
             fused = fused + projected[m] / weights[m]
@@ -188,12 +191,16 @@ class TestEncodeAdaptive:
         num_modalities=st.integers(1, 3),
         batch_size=st.integers(1, 12),
         code_length=st.sampled_from([4, 16, 33]),
+        max_iters=st.sampled_from([1, 2, 3, 30]),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_matches_reference_loop(self, num_modalities, batch_size, code_length, seed, data):
+    def test_matches_reference_loop(
+        self, num_modalities, batch_size, code_length, max_iters, seed, data
+    ):
         """Codes, weights and iterations match the per-step loop bit for
-        bit, and the trace to 1e-14 relative, with modalities missing."""
+        bit, and the trace to 1e-14 relative, with modalities missing and
+        the sign steps capped at ``max_iters``."""
         present = data.draw(
             st.lists(
                 st.integers(0, num_modalities - 1), min_size=1, max_size=num_modalities,
@@ -210,12 +217,32 @@ class TestEncodeAdaptive:
                 for m in range(num_modalities)
             ]
         )
-        result = encode_adaptive(model, batch)
-        codes, weights, iterations, trace = reference_encode(model, batch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "MAX_ITERS", max_iters)
+            result = encode_adaptive(model, batch)
+        codes, weights, iterations, trace = reference_encode(model, batch, max_iters)
         assert result.codes.tobytes() == codes.tobytes()
         assert result.dynamic_weights.tobytes() == weights.tobytes()
         assert result.iterations == iterations
         np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-14, atol=0)
+
+    def test_stops_at_the_iteration_cap(self):
+        """A batch that needs more than 3 sign steps stops at a patched cap
+        of 3, with the reference loop's codes and weights bit for bit."""
+        rng = np.random.default_rng(306)
+        dims = [int(d) for d in rng.integers(1, 6, 2)]
+        model = toy_model(rng, 16, dims, weights=rng.uniform(0.2, 1.0, 2))
+        batch = QueryBatch(
+            features=[rng.standard_normal((d, 12)) * rng.uniform(0.1, 3.0) for d in dims]
+        )
+        assert encode_adaptive(model, batch).iterations >= 4
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "MAX_ITERS", 3)
+            result = encode_adaptive(model, batch)
+        codes, weights, iterations, _ = reference_encode(model, batch, max_iters=3)
+        assert result.iterations == iterations == 3
+        assert result.codes.tobytes() == codes.tobytes()
+        assert result.dynamic_weights.tobytes() == weights.tobytes()
 
     def test_rejects_wrong_modality_count(self, trained_standard):
         model, _ = trained_standard

@@ -266,9 +266,18 @@ class TestBundleDirectories:
         bundle = generate_synthetic(small_spec())
         store_bundle(bundle, tmp_path / "bundle")
         manifest = read_manifest(tmp_path / "bundle")
-        assert manifest["num_modalities"] == 2
-        assert manifest["num_samples"] == 80
-        assert manifest["num_classes"] == 4
+        assert manifest == {"num_modalities": 2, "num_samples": 80}
+
+    @pytest.mark.parametrize("extra", ["", "num_classes=4\n"])
+    def test_manifest_loads_with_or_without_a_class_count(self, tmp_path, extra):
+        """Older bundles carry ``num_classes``; it is neither needed nor read."""
+        bundle = generate_synthetic(small_spec())
+        store_bundle(bundle, tmp_path / "bundle")
+        (tmp_path / "bundle" / "manifest.txt").write_text(
+            f"num_modalities=2\nnum_samples=80\n{extra}"
+        )
+        loaded = load_bundle(tmp_path / "bundle")
+        assert loaded.labels == bundle.labels
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CorruptFileError, match="manifest"):

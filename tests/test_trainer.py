@@ -55,8 +55,10 @@ def scalar_objective(projections, weights, kernel_features, targets, delta):
     return total
 
 
-def reference_fit(features, labels, centers, config):
-    """The training loop spelled out with the public per-step functions."""
+def reference_fit(features, labels, centers, config, max_iters=50, rel_tol=1e-5):
+    """The training loop spelled out with the public per-step functions and
+    its own stopping rule: training's values 50 and 1e-5 as literals, or
+    the values a test patches into ``training``."""
     targets = assign_target_codes(centers, labels).astype(np.float64)
     num_anchors = min(config.num_anchors, len(labels))
     kernel_features = [
@@ -65,7 +67,7 @@ def reference_fit(features, labels, centers, config):
     ]
     weights = np.full(len(features), 1.0 / len(features))
     trace, converged, projections = [], False, []
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         projections = [
             update_projection(targets, feats, weight, config.delta)
             for feats, weight in zip(kernel_features, weights)
@@ -76,7 +78,7 @@ def reference_fit(features, labels, centers, config):
         ]
         weights = update_weights(norms)
         value = objective(projections, weights, kernel_features, targets, config.delta)
-        if trace and abs(trace[-1] - value) <= config.rel_tol * max(abs(trace[-1]), 1e-300):
+        if trace and abs(trace[-1] - value) <= rel_tol * max(abs(trace[-1]), 1e-300):
             trace.append(value)
             converged = True
             break
@@ -84,8 +86,9 @@ def reference_fit(features, labels, centers, config):
     return projections, weights, trace, converged
 
 
-def assert_fit_matches_reference(features, labels, centers, config):
-    """``fit`` matches :func:`reference_fit`; returns the model.
+def assert_fit_matches_reference(features, labels, centers, config, **stopping):
+    """``fit`` matches :func:`reference_fit`, which gets the values of a
+    patched stopping rule as ``stopping``; returns the model.
 
     ``fit`` takes its residual norms from the Gram identity, or from a
     blocked residual pass in a near-exact fit; the reference takes them from
@@ -95,7 +98,7 @@ def assert_fit_matches_reference(features, labels, centers, config):
     """
     model = fit(features, labels, centers, config=config)
     projections, weights, trace, converged = reference_fit(
-        features, labels, centers, config
+        features, labels, centers, config, **stopping
     )
     assert len(model.projections) == len(projections)
     for got, want in zip(model.projections, projections):
@@ -357,33 +360,38 @@ class TestFit:
         centers = build_center_table(16, 3, seed=seed % 7)
         config = TrainConfig(
             delta=delta,
-            max_iters=max_iters,
             seed=seed % 1000,
             num_anchors=max(1, round(anchor_share * num_samples)),
         )
-        model = assert_fit_matches_reference(feats, labels, centers, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "MAX_ITERS", max_iters)
+            model = assert_fit_matches_reference(
+                feats, labels, centers, config, max_iters=max_iters
+            )
         if max_iters == 1:
             assert not model.converged and len(model.objective_trace) == 1
 
     def test_reference_loop_covers_all_anchors_and_iteration_cap(self):
-        """The oracle's two named cases: p == n, and a run stopped by max_iters."""
+        """The oracle's two named cases: p == n, and a run stopped by MAX_ITERS."""
         rng = np.random.default_rng(18)
         feats = [rng.standard_normal((3, 12)), rng.standard_normal((2, 12))]
         labels = [{i % 3} for i in range(12)]
         centers = build_center_table(8, 3, seed=0)
-        capped = TrainConfig(num_anchors=12, max_iters=2, rel_tol=1e-300)
-        for config in (TrainConfig(num_anchors=12), capped):
-            model = assert_fit_matches_reference(feats, labels, centers, config)
-            assert model.projections[0].shape == (8, 12)
+        config = TrainConfig(num_anchors=12)
+        model = assert_fit_matches_reference(feats, labels, centers, config)
+        assert model.projections[0].shape == (8, 12)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "MAX_ITERS", 2)
+            patch.setattr(training, "REL_TOL", 1e-300)
+            model = assert_fit_matches_reference(
+                feats, labels, centers, config, max_iters=2, rel_tol=1e-300
+            )
+        assert model.projections[0].shape == (8, 12)
         assert not model.converged and len(model.objective_trace) == 2
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParameterError):
             TrainConfig(delta=0.0).validate()
-        with pytest.raises(InvalidParameterError):
-            TrainConfig(max_iters=0).validate()
-        with pytest.raises(InvalidParameterError):
-            TrainConfig(rel_tol=-1.0).validate()
 
 
 # Small enough that a few dozen columns span several kernel blocks.
@@ -533,7 +541,7 @@ class TestBlockedTraining:
         feats = [rng.standard_normal((8, n)), rng.standard_normal((4, n))]
         labels = [{i % 4} for i in range(n)]
         centers = build_center_table(r, 4, seed=0)
-        config = TrainConfig(num_anchors=p, max_iters=3)
+        config = TrainConfig(num_anchors=p)
         tracemalloc.start()
         try:
             fit(feats, labels, centers, config=config)
