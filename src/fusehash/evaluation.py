@@ -5,16 +5,20 @@ exact integers. Ranking ties are broken by ascending database index, which
 makes every reported number reproducible bit for bit.
 
 ``hamming_rank``, ``mean_average_precision`` and the ``query`` command share
-one kernel: it packs both sides once and ranks queries in blocks of
-``RANK_BLOCK``. Inside the kernel, distances are held in the narrowest
+one kernel: it packs both sides once, views each code's item-major bytes as
+``k`` unsigned machine words (one uint64 at r=64), and ranks queries in
+blocks of ``RANK_BLOCK``, so a block's word, distance and relevance arrays
+stay in cache. Inside the kernel, distances are held in the narrowest
 unsigned dtype that holds the code length r (uint8 for r <= 255, uint16 up
 to 65535) and ordered by a stable argsort along each row, which numpy runs
 as a radix sort for these dtypes. A stable sort keeps ties in ascending
 index order, so the ranking is the one int64 distances would give; public
-results still carry int64 distances. Evaluation memory is
-O(RANK_BLOCK * n_db) for distances, order and relevance, not O(n_q * n_db).
-Code matrices returned by ``load_codes`` carry their packed bytes, which
-the kernel uses as they are instead of validating and packing again.
+results still carry int64 distances. mAP tests relevance on one
+``ceil(L/64)``-word label bitset per item, for L distinct labels.
+Evaluation memory is O(RANK_BLOCK * n_db + n * ceil(L/64)), not
+O(n_q * n_db). Code matrices returned by ``load_codes`` carry their packed
+bytes, which the kernel uses as they are instead of validating and packing
+again.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidParameterError, LabelError, ShapeError
-from .packing import pack_codes
+from .packing import _words, pack_codes
 
-# Queries ranked together by the kernel; bounds eval memory per block.
-RANK_BLOCK = 64
+# Queries ranked together by the kernel; keeps each block's arrays in cache.
+RANK_BLOCK = 8
 
 
 @dataclass
@@ -48,13 +52,17 @@ class EvalReport:
 
 
 def hamming_rank(query, database) -> RankedRetrieval:
-    """Rank database columns by Hamming distance from the query code."""
-    query_code = np.asarray(query).reshape(-1)
+    """Rank database columns by Hamming distance from an ``(r,)`` or ``(r, 1)`` query code."""
+    query_code = np.asarray(query)
+    if query_code.ndim == 2 and query_code.shape[1] == 1:
+        query_code = query_code[:, 0]
+    if query_code.ndim != 1:
+        raise ShapeError(f"expected one (r,) or (r, 1) query code, got shape {query_code.shape}")
     _, order, distances = next(_rank_blocks(query_code.reshape(-1, 1), database))
     return RankedRetrieval(
         query_code=query_code.astype(np.int8),
         ranked_indices=order[0],
-        distances=distances[0, order[0]].astype(np.int64),
+        distances=distances[0][order[0]].astype(np.int64),  # a 1-d gather, not the slower [0, order[0]]
     )
 
 
@@ -74,14 +82,14 @@ def _rank_blocks(query_codes, db_codes):
             f"query codes {q.shape} and database codes {db.shape} disagree "
             "on code length"
         )
-    packed_q = pack_codes(query_codes)  # the originals: a loaded CodeMatrix
-    packed_db = pack_codes(db_codes)  # hands over its bytes, np.asarray would not
+    q_words = _words(pack_codes(query_codes))  # the originals: a loaded CodeMatrix
+    db_words = _words(pack_codes(db_codes))  # hands over its bytes, np.asarray would not
     dtype = np.min_scalar_type(q.shape[0])
-    for start in range(0, packed_q.shape[1], RANK_BLOCK):
-        block = packed_q[:, start : start + RANK_BLOCK]
-        distances = np.zeros((block.shape[1], packed_db.shape[1]), dtype=dtype)
-        for q_bytes, db_bytes in zip(block, packed_db):
-            distances += np.bitwise_count(np.bitwise_xor.outer(q_bytes, db_bytes))
+    for start in range(0, q_words.shape[0], RANK_BLOCK):
+        block = q_words[start : start + RANK_BLOCK]
+        distances = np.zeros((block.shape[0], db_words.shape[0]), dtype=dtype)
+        for q_word, db_word in zip(block.T, db_words.T):
+            distances += np.bitwise_count(np.bitwise_xor.outer(q_word, db_word))
         yield start, np.argsort(distances, axis=1, kind="stable"), distances
 
 
@@ -121,13 +129,13 @@ def precision_at_k(relevance, k: int) -> float:
     return float(rel[:k].sum() / k)
 
 
-def _label_matrix(label_sets, label_ids: np.ndarray) -> np.ndarray:
-    """0/1 matrix whose row k marks the sets that hold ``label_ids[k]``."""
-    rows = np.searchsorted(label_ids, [label for labels in label_sets for label in labels])
-    cols = np.repeat(np.arange(len(label_sets)), [len(labels) for labels in label_sets])
-    mat = np.zeros((label_ids.shape[0], len(label_sets)), dtype=np.float64)
-    mat[rows, cols] = 1.0
-    return mat
+def _label_bits(label_sets, label_ids: np.ndarray) -> np.ndarray:
+    """``(n, ceil(L/64))`` uint64 bitsets; bit k of row j marks ``label_ids[k]`` in set j."""
+    ids = np.searchsorted(label_ids, [label for labels in label_sets for label in labels])
+    rows = np.repeat(np.arange(len(label_sets)), [len(labels) for labels in label_sets])
+    bits = np.zeros((len(label_sets), (label_ids.shape[0] + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(bits, (rows, ids // 64), np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64)))
+    return bits
 
 
 def mean_average_precision(
@@ -142,7 +150,8 @@ def mean_average_precision(
     A database item counts as relevant when its label set intersects the
     query's. The cutoff defaults to the full database size. Label ids are
     compacted to their sorted distinct values, so their magnitude costs no
-    memory, and relevance is built for one block of queries at a time.
+    memory; each item's labels become a bitset of ``ceil(L/64)`` words, and
+    relevance is built for one block of queries at a time.
     """
     q = np.asarray(query_codes)
     db = np.asarray(db_codes)
@@ -172,13 +181,14 @@ def mean_average_precision(
     if any(label < 0 for label in all_labels):
         raise LabelError("labels must be non-negative integers")
     label_ids = np.unique(np.asarray(all_labels, dtype=np.int64))
-    query_mat = _label_matrix(query_labels, label_ids)
-    db_mat = _label_matrix(db_labels, label_ids)
+    query_bits = _label_bits(query_labels, label_ids)
+    db_bits = _label_bits(db_labels, label_ids)
 
     per_query = np.empty(num_queries)
     for start, order, _ in _rank_blocks(query_codes, db_codes):
-        stop = start + order.shape[0]
-        relevant = (query_mat[:, start:stop].T @ db_mat) > 0  # label-intersection test
+        relevant = np.zeros(order.shape, dtype=bool)  # label-intersection test, word by word
+        for q_word, db_word in zip(query_bits[start : start + order.shape[0]].T, db_bits.T):
+            relevant |= np.bitwise_and.outer(q_word, db_word) != 0
         for i, (row, row_order) in enumerate(zip(relevant, order), start):
             per_query[i] = average_precision(row[row_order], cutoff)
     return EvalReport(

@@ -6,12 +6,10 @@ bytes, LSB-first: bit ``i`` of a column sits at byte ``i // 8``, bit
 ``i % 8``, with +1 mapped to 1 and -1 to 0. Padding bits are zero on both
 sides of a comparison, so packed distances are exact.
 
-Packing ORs every eighth row of the contiguous ``(r, n)`` bit matrix into
-the output at its bit position, which gives the same bytes as
-``np.packbits(bits, axis=0, bitorder="little")`` without walking the
-strided axis column by column. Each row moves to its bit position by a
-multiply with ``1 << bit``, which numpy vectorizes for uint8 where it does
-not vectorize the equivalent left shift.
+The packed ``(ceil(r/8), n)`` matrix is item-major: it is the transpose of a
+C-order ``(n, ceil(r/8))`` array, so each code's bytes are contiguous, as in
+a code file. Ranking reads those bytes as ``(n, k)`` machine words without a
+copy (see :func:`_words`).
 
 A code matrix read from a file is a :class:`CodeMatrix`: a read-only int8
 ``(r, n)`` array whose ``packed`` attribute holds the ``(ceil(r/8), n)``
@@ -32,8 +30,8 @@ from .exceptions import InvalidParameterError, ShapeError
 class CodeMatrix(np.ndarray):
     """Read-only int8 ``(r, n)`` code matrix that carries its packed bytes.
 
-    ``packed`` is the read-only ``(ceil(r/8), n)`` uint8 form of the matrix
-    with zero padding bits, or None on any array derived from it.
+    ``packed`` is the read-only item-major ``(ceil(r/8), n)`` uint8 form of
+    the matrix with zero padding bits, or None on any array derived from it.
     """
 
     packed: np.ndarray | None
@@ -44,12 +42,11 @@ class CodeMatrix(np.ndarray):
 
 def _code_matrix(packed: np.ndarray, code_length: int) -> CodeMatrix:
     """Unpack validated bytes into a read-only :class:`CodeMatrix` carrying them."""
-    packed.flags.writeable = False
     out = unpack_codes(packed, code_length).view(CodeMatrix)
-    arr = out
-    while isinstance(arr, np.ndarray):  # a view of a read-only base cannot be unlocked
-        arr.flags.writeable = False
-        arr = arr.base
+    for arr in (out, packed):
+        while isinstance(arr, np.ndarray):  # a view of a read-only base cannot be unlocked
+            arr.flags.writeable = False
+            arr = arr.base
     out.packed = packed
     return out
 
@@ -66,7 +63,7 @@ def _require_pm1(arr: np.ndarray) -> None:
 
 
 def pack_codes(codes) -> np.ndarray:
-    """Pack an ``(r, n)`` matrix over {-1, +1} into ``(ceil(r/8), n)`` uint8.
+    """Pack an ``(r, n)`` matrix over {-1, +1} into item-major ``(ceil(r/8), n)`` uint8.
 
     A :class:`CodeMatrix` that carries its packed bytes returns them as they
     are (read-only); any other input is validated and packed.
@@ -77,12 +74,19 @@ def pack_codes(codes) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-d code matrix, got shape {arr.shape}")
     _require_pm1(arr)
-    bits = (arr > 0).view(np.uint8)
-    packed = np.zeros(((arr.shape[0] + 7) // 8, arr.shape[1]), dtype=np.uint8)
-    for bit in range(8):
-        rows = bits[bit::8]
-        packed[: rows.shape[0]] |= rows * (1 << bit)
-    return packed
+    return np.packbits(np.ascontiguousarray(arr.T) > 0, axis=1, bitorder="little").T
+
+
+def _words(packed: np.ndarray) -> np.ndarray:
+    """View item-major packed codes as ``(n, k)`` unsigned machine words.
+
+    The word is the widest of 8, 4, 2 or 1 bytes that divides ``ceil(r/8)``,
+    so the view covers each code exactly and copies nothing when
+    ``packed.T`` is C-contiguous, as it is for every :func:`pack_codes`
+    result. Popcounts of XORed words do not depend on byte order.
+    """
+    size = next(size for size in (8, 4, 2, 1) if packed.shape[0] % size == 0)
+    return np.ascontiguousarray(packed.T).view(np.dtype(f"u{size}"))
 
 
 def unpack_codes(packed, code_length: int) -> np.ndarray:

@@ -156,11 +156,11 @@ def store_codes(codes, path) -> None:
     """Write a sign-code matrix as a kind-2 AMFH file, one packed column at a time."""
     packed = pack_codes(codes)  # validates shape and the {-1, +1} alphabet
     header = struct.pack("<QQ", *np.shape(codes))
-    _write_file(path, KIND_CODES, header, packed.T.tobytes(order="C"))
+    _write_file(path, KIND_CODES, header, np.ascontiguousarray(packed.T))
 
 
 def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndarray:
-    """Read ``count`` packed codes into a ``(ceil(r/8), count)`` uint8 matrix.
+    """Read ``count`` packed codes into an item-major ``(ceil(r/8), count)`` uint8 matrix.
 
     Packed distances are exact only if padding bits are zero, so a set
     padding bit in the last byte row rejects the file.
@@ -168,7 +168,7 @@ def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndar
     bytes_per_code = (code_length + 7) // 8
     raw = cur.take(bytes_per_code * count)
     cur.done()
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, bytes_per_code).T.copy()
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, bytes_per_code).copy().T
     if code_length % 8 and np.any(packed[-1] >> (code_length % 8)):
         raise CorruptFileError(f"{path}: nonzero padding bits after code bit {code_length}")
     return packed
@@ -199,7 +199,7 @@ def store_centers(table: HashCenterTable, path) -> None:
         table.hadamard_order,
         1 if table.is_exact else 0,
     )
-    _write_file(path, KIND_CENTERS, header, pack_codes(table.centers).T.tobytes(order="C"))
+    _write_file(path, KIND_CENTERS, header, np.ascontiguousarray(pack_codes(table.centers).T))
 
 
 def load_centers(path) -> HashCenterTable:

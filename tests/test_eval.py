@@ -87,6 +87,39 @@ class TestHammingRank:
         with pytest.raises(ShapeError):
             hamming_rank(np.ones(4, dtype=np.int8), np.ones((5, 3), dtype=np.int8))
 
+    def test_rejects_a_matrix_query(self):
+        """A (32, 2) query is two codes, not one 64-bit code; only (r,) and (r, 1) rank."""
+        rng = np.random.default_rng(12)
+        db = random_codes(rng, 64, 20)
+        for shape in ((32, 2), (1, 64), (2, 32, 1), ()):
+            with pytest.raises(ShapeError):
+                hamming_rank(np.ones(shape, dtype=np.int8), db)
+        column = random_codes(rng, 64, 1)
+        got = hamming_rank(column, db)
+        want = hamming_rank(column[:, 0], db)
+        np.testing.assert_array_equal(got.ranked_indices, want.ranked_indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        np.testing.assert_array_equal(got.query_code, column[:, 0])
+        assert got.query_code.shape == (64,)
+
+    @pytest.mark.parametrize(
+        "query, db",
+        [
+            ([1], [[1, -1, -1, 1, 1, -1]]),  # r = 1: only distances 0 and 1
+            ([-1], [[-1, -1, -1]]),  # r = 1, every item equal to the query
+            ([1, -1, 1], [[1] * 5, [-1] * 5, [1] * 5]),  # all distances 0
+            ([1, -1, 1], [[-1] * 4, [1] * 4, [-1] * 4]),  # all distances r
+            ([1, 1, 1, 1], [[-1, 1, 1, -1, 1], [1, 1, -1, 1, 1], [1, 1, 1, 1, 1], [1, -1, 1, 1, 1]]),
+        ],
+    )
+    def test_sorted_distances_equal_the_reference(self, query, db):
+        """Sorted int64 distances equal the int8 reference at r = 1, with ties and all equal."""
+        ranked = hamming_rank(np.array(query, dtype=np.int8), np.array(db, dtype=np.int8))
+        expected_order, expected_distances = naive_ranking(query, db)
+        np.testing.assert_array_equal(ranked.ranked_indices, expected_order)
+        assert ranked.distances.dtype == np.int64
+        assert ranked.distances.tobytes() == expected_distances.astype(np.int64).tobytes()
+
     def test_distances_above_255_do_not_wrap(self):
         """All +1 against all -1 at r=300 is distance 300, not 300 mod 256."""
         query = np.ones(300, dtype=np.int8)
@@ -98,13 +131,18 @@ class TestHammingRank:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        code_length=st.sampled_from([1, 8, 64, 255, 256, 300]),
-        num_queries=st.integers(1, RANK_BLOCK + 1),
+        code_length=st.sampled_from([1, 8, 16, 24, 32, 64, 128, 255, 256, 300]),
+        num_queries=st.integers(1, 3 * RANK_BLOCK + 1),
         num_db=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocked_ranking_matches_naive(self, code_length, num_queries, num_db, seed):
-        """Every block's order and distances equal the int8 reference, ties included."""
+        """Every block's order and distances equal the int8 reference, ties included.
+
+        The lengths cover every word size of the kernel: r = 1, 8 and 24 rank
+        in uint8 words, 16 in one uint16, 32 in one uint32, 64 and 128 in one
+        and two uint64, 255 and 256 in four uint64, and 300 in 19 uint16.
+        """
         rng = np.random.default_rng(seed)
         pool = random_codes(rng, code_length, max(1, num_db // 3))
         db = pool[:, rng.integers(0, pool.shape[1], num_db)]  # repeated columns tie
@@ -268,11 +306,12 @@ class TestMeanAveragePrecision:
         with pytest.raises(ShapeError):
             mean_average_precision(np.ones((6, 1), dtype=np.int8), [{0}], code, [{0}])
 
-    @pytest.mark.parametrize("num_queries", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1])
+    @pytest.mark.parametrize("num_queries", [63, 64, 65])
     @settings(max_examples=5, deadline=None)
     @given(code_length=st.sampled_from([8, 64, 300]), seed=st.integers(0, 2**32 - 1))
     def test_per_query_ap_does_not_depend_on_blocks(self, num_queries, code_length, seed):
-        """Query counts around the block size give each query its lone-query AP."""
+        """Query counts around a multiple of the block size give each query its lone-query AP."""
+        assert 64 % RANK_BLOCK == 0
         rng = np.random.default_rng(seed)
         db = random_codes(rng, code_length, 30)
         db_labels = [{int(rng.integers(0, 3))} for _ in range(30)]
@@ -308,6 +347,49 @@ class TestMeanAveragePrecision:
         assert report.map == expected.map
         assert peak < 1 << 20
 
+    def test_many_labels_span_several_bitset_words(self):
+        """130 distinct labels in multi-label sets use three mask words and score as the naive mAP."""
+        rng = np.random.default_rng(13)
+        num_db, num_queries = 60, 12
+        base = random_codes(rng, 24, 20)
+        db = base[:, rng.integers(0, 20, num_db)]  # repeated columns: ties
+        queries = random_codes(rng, 24, num_queries)
+
+        def label_sets(count):
+            return [set(rng.choice(130, int(rng.integers(1, 6)), replace=False).tolist()) for _ in range(count)]
+
+        db_labels = label_sets(num_db)
+        db_labels[0] = set(range(130))  # every label id occurs
+        query_labels = label_sets(num_queries)
+        query_labels[0] = {0, 64, 128}  # one bit in each word
+        query_labels[1] = {129}
+        for cutoff in (None, 25):
+            report = mean_average_precision(queries, query_labels, db, db_labels, cutoff)
+            aps = []
+            for q in range(num_queries):
+                order, _ = naive_ranking(queries[:, q], db)
+                relevance = [bool(db_labels[j] & query_labels[q]) for j in order]
+                aps.append(naive_average_precision(relevance, cutoff or num_db))
+            np.testing.assert_allclose(report.per_query_ap, aps, rtol=0, atol=1e-12)
+
+    def test_label_bitsets_bound_memory(self):
+        """4,096 distinct labels cost 64 words per item, not a float per label and item."""
+        rng = np.random.default_rng(14)
+        num_db, num_queries = 2000, 64
+        db = random_codes(rng, 16, num_db)
+        queries = random_codes(rng, 16, num_queries)
+        db_labels = [{2 * j, 2 * j + 1} for j in range(num_db)]  # ids 0 to 3,999
+        query_labels = [{3968 + 2 * q, 3969 + 2 * q} for q in range(num_queries)]  # ids 3,968 to 4,095
+        assert len(set().union(*db_labels, *query_labels)) == 4096
+        tracemalloc.start()
+        try:
+            report = mean_average_precision(queries, query_labels, db, db_labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.num_queries == num_queries
+        assert peak < 4 << 20
+
     def test_rejects_negative_labels(self):
         code = np.ones((8, 1), dtype=np.int8)
         with pytest.raises(LabelError):
@@ -327,7 +409,7 @@ class TestLoadedCodes:
         store_codes(codes, tmp_path / name)
         return load_codes(tmp_path / name)
 
-    @pytest.mark.parametrize("num_queries", [RANK_BLOCK - 1, RANK_BLOCK + 1])
+    @pytest.mark.parametrize("num_queries", [63, 65])  # whole blocks and a partial one
     @pytest.mark.parametrize("code_length", [3, 64, 300])
     def test_loaded_equals_plain_copy(self, tmp_path, num_queries, code_length):
         rng = np.random.default_rng(code_length + num_queries)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusehash import load_codes, pack_codes, sign_to_pm1, store_codes, unpack_codes
 from fusehash.exceptions import InvalidParameterError, ShapeError
-from fusehash.packing import CodeMatrix, packed_hamming
+from fusehash.packing import CodeMatrix, _words, packed_hamming
 
 
 def naive_hamming(a, b):
@@ -76,6 +76,7 @@ class TestPackUnpack:
         packed = pack_codes(codes)
         assert packed.dtype == np.uint8
         np.testing.assert_array_equal(packed, expected)
+        assert packed.T.flags.c_contiguous  # item-major: each code's bytes are contiguous
 
     @settings(max_examples=200, deadline=None)
     @given(sign_codes())
@@ -117,6 +118,22 @@ class TestCodeMatrix:
         assert loaded.packed.dtype == np.uint8
         assert loaded.packed.tobytes() == pack_codes(np.array(loaded)).tobytes()
         assert pack_codes(loaded) is loaded.packed
+        assert loaded.packed.T.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "code_length, word_bytes",
+        [(1, 1), (16, 2), (24, 1), (32, 4), (64, 8), (128, 8), (200, 1), (300, 2)],
+    )
+    def test_words_view_the_carried_bytes(self, tmp_path, code_length, word_bytes):
+        """A stored database ranks from word views of its own bytes, never a copy."""
+        codes = sign_to_pm1(np.random.default_rng(code_length).standard_normal((code_length, 37)))
+        store_codes(codes, tmp_path / "codes.amfh")
+        loaded = load_codes(tmp_path / "codes.amfh")
+        words = _words(loaded.packed)
+        assert np.shares_memory(words, loaded.packed)
+        assert words.dtype.itemsize == word_bytes
+        assert words.shape == (37, (code_length + 7) // 8 // word_bytes)
+        assert words.tobytes() == loaded.packed.T.tobytes()
 
     def test_derived_arrays_carry_nothing(self, tmp_path):
         codes = sign_to_pm1(np.random.default_rng(4).standard_normal((13, 20)))
