@@ -1,12 +1,14 @@
 """Hash-center construction on Sylvester Hadamard matrices.
 
-A center table fixes one {-1, +1} column per category. When the requested
-code length is already a power of two no smaller than the category count,
-Hadamard columns are used verbatim and every pair of centers sits at
-Hamming distance exactly r/2. Otherwise the columns are re-dimensioned by
-a seeded Gaussian sign projection and the resulting table is audited
-against a relaxed average-distance bound, drawing fresh projections until
-it passes.
+A center table fixes one {-1, +1} column per category. Column ``j`` of the
+Sylvester matrix is built alone from H[i, j] = (-1)^popcount(i & j), so a
+table reads only its own columns and never the whole matrix. When the
+requested code length is already a power of two no smaller than the
+category count, those columns are used verbatim and every pair of centers
+sits at Hamming distance exactly r/2. Otherwise they are re-dimensioned by
+a seeded Gaussian sign projection. Both kinds of table are audited, from
+per-bit counts and one Gram of the centers, against their average-distance
+bound; re-dimensioned tables draw fresh projections until they pass.
 """
 
 from __future__ import annotations
@@ -55,15 +57,19 @@ class CenterAudit:
 def sylvester_hadamard(order: int) -> np.ndarray:
     """Canonical Sylvester Hadamard matrix of the given power-of-two order.
 
-    Built by recursive doubling from ``[[1]]``. Entries are int64 so that
+    Entry (i, j) is (-1)^popcount(i & j), which is the recursive doubling
+    ``[[H, H], [H, -H]]`` from ``[[1]]``. Entries are int64 so that
     orthogonality checks stay exact in integer arithmetic.
     """
     if order < 1 or order & (order - 1):
         raise InvalidParameterError(f"order must be a power of two, got {order}")
-    mat = np.ones((1, 1), dtype=np.int64)
-    while mat.shape[0] < order:
-        mat = np.block([[mat, mat], [mat, -mat]])
-    return mat
+    return _hadamard_columns(order, order).astype(np.int64)
+
+
+def _hadamard_columns(order: int, count: int) -> np.ndarray:
+    """The first ``count`` columns of the Sylvester matrix of ``order``, int8."""
+    parity = np.bitwise_count(np.arange(order)[:, None] & np.arange(count)) & 1
+    return 1 - 2 * parity.astype(np.int8)
 
 
 def required_order(code_length: int, num_categories: int) -> int:
@@ -99,33 +105,31 @@ def lsh_reduce(matrix, code_length: int, seed: int) -> np.ndarray:
     return sign_to_pm1(projection.T @ cols)
 
 
-def _pairwise_distances(centers) -> np.ndarray:
-    # Distance between +-1 columns u, v is (r - u.v) / 2, exact in integers.
-    cols = np.asarray(centers, dtype=np.int64)
-    gram = cols.T @ cols
-    dist = (cols.shape[0] - gram) // 2
-    upper = np.triu_indices(dist.shape[0], k=1)
-    return dist[upper]
-
-
 def audit_centers(table: HashCenterTable) -> CenterAudit:
     """Average/minimum pairwise Hamming distance and the pass verdict.
 
     Exact tables must average at least r/2; re-dimensioned tables at least
-    ``LSH_DISTANCE_FACTOR * r``.
+    ``LSH_DISTANCE_FACTOR * r``. Both figures come from exact integer sums:
+    a bit with ``ones`` plus signs among C centers separates
+    ``ones * (C - ones)`` pairs, and +-1 columns u, v lie (r - u.v) / 2
+    apart.
     """
     if table.num_categories < 2:
         raise InvalidParameterError("auditing needs at least 2 centers")
-    distances = _pairwise_distances(table.centers)
+    cols = np.asarray(table.centers, dtype=np.int64)
+    r, count = cols.shape
+    ones = (cols > 0).sum(axis=1)
+    average = int((ones * (count - ones)).sum()) / (count * (count - 1) // 2)
+    gram = cols.T @ cols
+    np.fill_diagonal(gram, -r)  # a center's product with itself is no pair
     threshold = (
         table.code_length / 2.0
         if table.is_exact
         else LSH_DISTANCE_FACTOR * table.code_length
     )
-    average = float(distances.mean())
     return CenterAudit(
         average_distance=average,
-        min_distance=int(distances.min()),
+        min_distance=(r - int(gram.max())) // 2,
         threshold=threshold,
         passed=average >= threshold,
     )
@@ -138,41 +142,31 @@ def build_center_table(
 
     Takes the first ``num_categories`` columns of the Sylvester matrix of
     order ``required_order(code_length, num_categories)``. When the order
-    already equals the code length the columns are used as-is; otherwise
-    they are re-dimensioned with :func:`lsh_reduce`, retrying with
-    incremented seeds up to ``MAX_LSH_RETRIES`` times until the audit
-    passes. Deterministic: identical inputs give bit-identical tables.
+    already equals the code length the columns are used as-is, in one
+    attempt; otherwise they are re-dimensioned with :func:`lsh_reduce`,
+    retrying with incremented seeds up to ``MAX_LSH_RETRIES`` times until
+    the audit passes. The projection's Gaussian draw depends only on the
+    order, so projecting these columns alone gives the columns of the whole
+    matrix's projection. Deterministic: identical inputs give bit-identical
+    tables.
     """
     if num_categories < 2:
         raise InvalidParameterError(
             f"need at least 2 categories, got {num_categories}"
         )
     order = required_order(code_length, num_categories)
-    hadamard = sylvester_hadamard(order)
-    if code_length == order:
-        table = HashCenterTable(
-            code_length=code_length,
-            num_categories=num_categories,
-            centers=hadamard[:, :num_categories].astype(np.int8),
-            seed=seed,
-            hadamard_order=order,
-            is_exact=True,
-        )
-        if not audit_centers(table).passed:
-            raise CenterSeparationError("exact Hadamard table failed its audit")
-        return table
-
+    columns = _hadamard_columns(order, num_categories)
+    exact = code_length == order
     best = -1.0
-    for attempt in range(MAX_LSH_RETRIES):
+    for attempt in range(1 if exact else MAX_LSH_RETRIES):
         attempt_seed = seed + attempt
-        reduced = lsh_reduce(hadamard, code_length, attempt_seed)
         table = HashCenterTable(
             code_length=code_length,
             num_categories=num_categories,
-            centers=reduced[:, :num_categories],
+            centers=columns if exact else lsh_reduce(columns, code_length, attempt_seed),
             seed=attempt_seed,
             hadamard_order=order,
-            is_exact=False,
+            is_exact=exact,
         )
         audit = audit_centers(table)
         if audit.passed:
@@ -180,7 +174,7 @@ def build_center_table(
         best = max(best, audit.average_distance)
     raise CenterSeparationError(
         f"average center distance {best:.3f} stayed below "
-        f"{LSH_DISTANCE_FACTOR * code_length:.3f} after {MAX_LSH_RETRIES} attempts",
+        f"{audit.threshold:.3f} after {attempt + 1} attempts",
         achieved=best,
     )
 

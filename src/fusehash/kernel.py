@@ -3,7 +3,9 @@
 Feature matrices are dense ``(d, n)`` arrays with one column per sample.
 The kernel map replaces each sample by its Gaussian similarity to ``p``
 anchors drawn from the training columns of the same modality, giving a
-``(p, n)`` representation with entries in (0, 1].
+``(p, n)`` representation with entries in (0, 1]. The Gaussian width is
+the mean distance over one list of anchor pairs: every pair when there are
+at most ``MAX_WIDTH_PAIRS`` of them, otherwise that many seeded draws.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .exceptions import InvalidParameterError, NumericalError, ShapeError
 
@@ -87,13 +88,13 @@ def _mean_anchor_distance(anchors, rng) -> float:
     if p < 2:
         return 1.0
     if p * (p - 1) // 2 <= MAX_WIDTH_PAIRS:
-        mean = float(pdist(anchors.T).mean())
+        left, right = np.triu_indices(p, k=1)
     else:
         left = rng.integers(0, p, size=MAX_WIDTH_PAIRS)
         shift = rng.integers(1, p, size=MAX_WIDTH_PAIRS)
         right = (left + shift) % p  # shift >= 1 keeps left != right
-        diffs = anchors[:, left] - anchors[:, right]
-        mean = float(np.linalg.norm(diffs, axis=0).mean())
+    diffs = anchors[:, left] - anchors[:, right]
+    mean = float(np.linalg.norm(diffs, axis=0).mean())
     return mean if mean > 0 else 1.0
 
 

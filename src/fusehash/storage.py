@@ -240,11 +240,11 @@ def store_model(model: TrainedModel, path) -> None:
             )
     parts = [
         struct.pack("<QQQd", num_modalities, model.code_length, num_anchors, model.delta),
-        np.asarray(model.train_weights, dtype="<f8").tobytes(),
+        np.ascontiguousarray(model.train_weights, dtype="<f8"),
     ]
     for m in range(num_modalities):
         anchor_set = model.anchor_sets[m]
-        anchors = np.asarray(anchor_set.anchors, dtype=np.float64)
+        anchors = np.ascontiguousarray(anchor_set.anchors, dtype="<f8")
         if anchors.shape[1] != num_anchors:
             raise ShapeError(
                 f"anchor set {m} holds {anchors.shape[1]} anchors, "
@@ -253,8 +253,8 @@ def store_model(model: TrainedModel, path) -> None:
         parts.append(
             struct.pack("<QdQ", anchors.shape[0], anchor_set.kernel_width, anchor_set.seed)
         )
-        parts.append(anchors.astype("<f8").tobytes(order="C"))
-        parts.append(np.asarray(model.projections[m], dtype="<f8").tobytes(order="C"))
+        parts.append(anchors)
+        parts.append(np.ascontiguousarray(model.projections[m], dtype="<f8"))
     _write_file(path, KIND_MODEL, *parts)
 
 

@@ -1,6 +1,8 @@
 """Hash-center construction: Sylvester matrices, LSH re-dimensioning,
 table audits, and per-sample target codes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from fusehash import (
     required_order,
     sylvester_hadamard,
 )
-from fusehash.centers import HashCenterTable
-from fusehash.exceptions import InvalidParameterError, LabelError
+from fusehash import centers as centers_module
+from fusehash.centers import (
+    LSH_DISTANCE_FACTOR,
+    MAX_LSH_RETRIES,
+    CenterAudit,
+    HashCenterTable,
+)
+from fusehash.exceptions import CenterSeparationError, InvalidParameterError, LabelError
 
 
 def pairwise_distances(centers):
@@ -24,6 +32,35 @@ def pairwise_distances(centers):
         for i in range(k)
         for j in range(i + 1, k)
     ]
+
+
+def reference_audit(centers, code_length, is_exact):
+    """The audit from the list of every pair's distance."""
+    cols = np.asarray(centers, dtype=np.int64)
+    dist = (cols.shape[0] - cols.T @ cols) // 2
+    pairs = dist[np.triu_indices(dist.shape[0], k=1)]
+    threshold = code_length / 2.0 if is_exact else LSH_DISTANCE_FACTOR * code_length
+    average = float(pairs.mean())
+    return CenterAudit(average, int(pairs.min()), threshold, average >= threshold)
+
+
+def reference_table(code_length, num_categories, seed):
+    """The table from the whole Sylvester matrix and its whole projection."""
+    order = required_order(code_length, num_categories)
+    hadamard = sylvester_hadamard(order)
+    exact = code_length == order
+    for attempt_seed in range(seed, seed + (1 if exact else MAX_LSH_RETRIES)):
+        centers = (
+            hadamard[:, :num_categories].astype(np.int8)
+            if exact
+            else lsh_reduce(hadamard, code_length, attempt_seed)[:, :num_categories]
+        )
+        audit = reference_audit(centers, code_length, exact)
+        if audit.passed:
+            return HashCenterTable(
+                code_length, num_categories, centers, attempt_seed, order, exact
+            ), audit
+    raise AssertionError("reference table failed every attempt")
 
 
 class TestSylvesterHadamard:
@@ -137,6 +174,53 @@ class TestBuildCenterTable:
     def test_requires_two_categories(self):
         with pytest.raises(InvalidParameterError):
             build_center_table(16, 1, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_tables_and_audits_equal_the_whole_matrix_reference(self, seed):
+        """Columns built alone and projected alone give the bytes, seed and
+        audit that projecting the whole matrix and listing every pair give,
+        for exact and re-dimensioned tables alike."""
+        kinds = set()
+        for code_length in (1, 2, 3, 8, 16, 31, 48, 64, 100, 128, 130):
+            for num_categories in (2, 3, 5, 10, 16, 20, 33, 64, 65, 100, 129, 257):
+                table = build_center_table(code_length, num_categories, seed)
+                want, want_audit = reference_table(code_length, num_categories, seed)
+                case = (code_length, num_categories, seed)
+                assert table.centers.dtype == np.int8, case
+                assert table.centers.shape == want.centers.shape, case
+                assert table.centers.tobytes() == want.centers.tobytes(), case
+                assert (table.seed, table.hadamard_order, table.is_exact) == (
+                    want.seed, want.hadamard_order, want.is_exact
+                ), case
+                assert audit_centers(table) == want_audit, case
+                kinds.add(table.is_exact)
+        assert kinds == {True, False}
+
+    def test_peak_memory_stays_below_one_whole_matrix(self):
+        """2049 categories need order 4096: the table's peak stays below the
+        8 order^2 bytes of one int64 order x order matrix."""
+        tracemalloc.start()
+        try:
+            table = build_center_table(64, 2049, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.hadamard_order == 4096
+        assert peak < 8 * 4096**2
+
+    def test_exhausted_retries_report_the_best_attempt(self, monkeypatch):
+        """With a bound no table of 20 centers can reach, every attempt fails
+        and the error carries the best attempt's average distance."""
+        monkeypatch.setattr(centers_module, "LSH_DISTANCE_FACTOR", 1.0)
+        hadamard = sylvester_hadamard(64)
+        averages = [
+            reference_audit(lsh_reduce(hadamard, 48, s)[:, :20], 48, False).average_distance
+            for s in range(3, 3 + MAX_LSH_RETRIES)
+        ]
+        with pytest.raises(CenterSeparationError) as caught:
+            build_center_table(48, 20, seed=3)
+        assert caught.value.achieved == max(averages)
+        assert f"after {MAX_LSH_RETRIES} attempts" in str(caught.value)
 
 
 class TestAuditCenters:

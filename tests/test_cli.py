@@ -358,9 +358,13 @@ class TestBenchAndStudies:
         assert stdout.startswith("[FAIL] slow (")
         assert "fine; ran 0.0s, bound 0s" in stdout
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        """The L-BFGS oracle's import stays inside its check."""
-        probe = "import sys, fusehash; print('scipy.optimize' in sys.modules)"
+    def test_import_loads_no_scipy(self):
+        """No module imports scipy: the L-BFGS oracle's import stays inside
+        its check, and the kernel width needs no scipy distance."""
+        probe = (
+            "import sys, fusehash; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         package_root = str(Path(cli.__file__).parents[1])  # the fusehash under test
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
@@ -370,7 +374,7 @@ class TestBenchAndStudies:
             text=True,
             check=True,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_sweep_delta_lines(self, workspace, capsys):
         code, stdout, _ = run([

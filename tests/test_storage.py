@@ -28,7 +28,9 @@ from fusehash import (
 )
 from fusehash import SynthSpec
 from fusehash.exceptions import CorruptFileError, ShapeError
+from fusehash.kernel import AnchorSet
 from fusehash.storage import load_labels, read_manifest
+from fusehash.training import TrainedModel
 
 
 def small_spec():
@@ -240,6 +242,39 @@ class TestModelFiles:
         np.testing.assert_array_equal(
             fuse_encode_fixed(loaded, feats), fuse_encode_fixed(model, feats)
         )
+
+    def test_store_writes_the_arrays_where_they_lie(self, tmp_path):
+        """C-order float64 weights, anchors and projections are written
+        without a copy; another layout writes the same bytes."""
+        rng = np.random.default_rng(2)
+        anchors = [rng.standard_normal((256, 1000)), rng.standard_normal((64, 1000))]
+        projections = [rng.standard_normal((64, 1000)) for _ in anchors]
+
+        def model(layout):
+            return TrainedModel(
+                projections=[layout(p) for p in projections],
+                anchor_sets=[AnchorSet(layout(a), 1.5) for a in anchors],
+                train_weights=np.array([0.25, 0.75]),
+                delta=0.5,
+                code_length=64,
+            )
+
+        c_order, fortran = model(np.ascontiguousarray), model(np.asfortranarray)
+        path = tmp_path / "model.amfh"
+        tracemalloc.start()
+        try:
+            store_model(c_order, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * anchors[1].nbytes
+        stored = path.read_bytes()
+        store_model(fortran, path)
+        assert path.read_bytes() == stored
+        loaded = load_model(path)
+        for m, a in enumerate(anchors):
+            np.testing.assert_array_equal(loaded.anchor_sets[m].anchors, a)
+            np.testing.assert_array_equal(loaded.projections[m], projections[m])
 
     def test_loaded_model_drops_training_history(self, tmp_path, trained_standard):
         model, _ = trained_standard
