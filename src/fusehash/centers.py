@@ -112,11 +112,12 @@ def audit_centers(table: HashCenterTable) -> CenterAudit:
     ``LSH_DISTANCE_FACTOR * r``. Both figures come from exact integer sums:
     a bit with ``ones`` plus signs among C centers separates
     ``ones * (C - ones)`` pairs, and +-1 columns u, v lie (r - u.v) / 2
-    apart.
+    apart. The Gram is formed in float64 so that BLAS multiplies it; it is
+    still exact, since every partial sum is an integer of magnitude at most r.
     """
     if table.num_categories < 2:
         raise InvalidParameterError("auditing needs at least 2 centers")
-    cols = np.asarray(table.centers, dtype=np.int64)
+    cols = np.asarray(table.centers, dtype=np.float64)
     r, count = cols.shape
     ones = (cols > 0).sum(axis=1)
     average = int((ones * (count - ones)).sum()) / (count * (count - 1) // 2)

@@ -389,7 +389,7 @@ class TestBlockedEncoding:
         )
         feats = [rng.standard_normal((4, num_samples)) for _ in range(2)]
         for anchor_set in model.anchor_sets:
-            anchor_set.squared_norms  # cached before measuring
+            anchor_set.squared_norms, anchor_set.scaled_anchors  # cached before measuring
         tracemalloc.start()
         try:
             fuse_encode_fixed(model, feats)

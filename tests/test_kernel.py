@@ -14,16 +14,50 @@ from fusehash.exceptions import InvalidParameterError, NumericalError, ShapeErro
 
 
 def three_temporary_kernel(features, anchor_set):
-    """The kernel map written as one expression with (p, n) temporaries."""
+    """The kernel map written as one expression with (p, n) temporaries.
+
+    The cross term multiplies the same C-contiguous (p, d) operand as the
+    map, so both run the same BLAS kernel: this pins the map's in-place
+    order of operations, not which product BLAS picks for a shape.
+    """
     feats = np.asarray(features, dtype=np.float64)
     anchors = anchor_set.anchors
     sq = (
         (anchors * anchors).sum(axis=0)[:, None]
-        - 2.0 * (anchors.T @ feats)
+        + np.ascontiguousarray(-2.0 * anchors.T) @ feats
         + (feats * feats).sum(axis=0)[None, :]
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-sq / (2.0 * anchor_set.kernel_width**2))
+
+
+def difference_kernel(features, anchor_set, columns=slice(None)):
+    """The map's ``columns`` entry by entry from ``||x_i - a_j||^2``, with no
+    norm expansion: the reference for the per-entry bound."""
+    feats = np.asarray(features, dtype=np.float64)[:, columns]
+    gaps = feats[:, None, :] - anchor_set.anchors[:, :, None]
+    return np.exp(-(gaps * gaps).sum(axis=0) / (2.0 * anchor_set.kernel_width**2))
+
+
+def assert_matches_references(feats, anchor_set, projection, columns=slice(None)):
+    """The map, and the projected map, equal the expression form's bytes and
+    lie within 1e-12 per kernel entry of the difference form at ``columns``."""
+    want = three_temporary_kernel(feats, anchor_set)
+    out = apply_kernel(feats, anchor_set)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    direct = difference_kernel(feats, anchor_set, columns)
+    assert np.all(np.abs(out[:, columns] - direct) < 1e-12)
+    projected = apply_kernel(feats, anchor_set, projection)
+    assert projected.tobytes() == (projection @ want).tobytes()
+    scale = np.abs(projection).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(projected[:, columns] - projection @ direct) <= 1e-12 * scale)
+
+
+def assert_row_major_scaled_anchors(anchor_set):
+    scaled = anchor_set.scaled_anchors
+    assert scaled.flags.c_contiguous and scaled.dtype == np.float64
+    assert scaled.shape == anchor_set.anchors.shape[::-1]
+    assert scaled.tobytes() == np.ascontiguousarray((-2.0 * anchor_set.anchors).T).tobytes()
 
 
 class TestSelectAnchors:
@@ -145,6 +179,37 @@ class TestApplyKernel:
                 gap = feats[:, i].astype(np.float64) - anchor_set.anchors[:, j]
                 assert abs(out[j, i] - np.exp(-float(gap @ gap) / (2.0 * sigma**2))) < 1e-12
 
+    def test_equals_references_on_every_small_shape(self):
+        """Every shape the property test draws from, with and without a
+        projection: random draws miss the few shapes where BLAS rounds a
+        transposed anchor operand differently from the row-major one."""
+        rng = np.random.default_rng(13)
+        for dim in range(1, 7):
+            for num_anchors in range(1, 9):
+                anchor_set = select_anchors(
+                    rng.standard_normal((dim, num_anchors)), num_anchors, seed=0
+                )
+                projection = rng.standard_normal((3, num_anchors))
+                for num_samples in range(13):
+                    feats = 3.0 * rng.standard_normal((dim, num_samples))
+                    assert_matches_references(feats, anchor_set, projection)
+
+    @pytest.mark.parametrize("num_samples", [0, 1, 2, 3, 8, 9, 100, 1024, 2049])
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_equals_references_at_benchmark_shapes(self, dim, num_samples):
+        """The benchmark's dimensionalities and anchor count, at the widths of
+        the per-batch encoder (gemv at one column), a kernel block and two
+        blocks with a remainder. The per-entry bound is checked at the first,
+        middle and last columns and either side of the block edge."""
+        rng = np.random.default_rng(dim + num_samples)
+        anchor_set = select_anchors(rng.standard_normal((dim, 1000)), 1000, seed=0)
+        feats = rng.standard_normal((dim, num_samples))
+        projection = rng.standard_normal((64, 1000))
+        edge = kernel.KERNEL_BLOCK
+        columns = sorted({i for i in (0, num_samples // 2, edge - 1, edge, num_samples - 1)
+                          if 0 <= i < num_samples})
+        assert_matches_references(feats, anchor_set, projection, columns)
+
     def test_allocates_one_output_sized_array(self):
         rng = np.random.default_rng(7)
         anchor_set = AnchorSet(anchors=rng.standard_normal((64, 200)), kernel_width=8.0)
@@ -173,6 +238,7 @@ class TestApplyKernel:
                     anchor_set.squared_norms.tobytes()
                     == model.anchor_sets[m].squared_norms.tobytes()
                 )
+                assert_row_major_scaled_anchors(anchor_set)
 
     def test_norm_cache_is_not_a_field(self):
         anchor_set = AnchorSet(anchors=np.ones((2, 3)), kernel_width=1.0)
@@ -182,7 +248,18 @@ class TestApplyKernel:
         assert "squared_norms" not in repr(anchor_set)
         assert "scaled_anchors" not in repr(anchor_set)
         np.testing.assert_array_equal(anchor_set.squared_norms, [[2.0], [2.0], [2.0]])
-        np.testing.assert_array_equal(anchor_set.scaled_anchors, -2.0 * np.ones((2, 3)))
+        np.testing.assert_array_equal(anchor_set.scaled_anchors, -2.0 * np.ones((3, 2)))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_scaled_anchors_are_row_major(self, layout):
+        """Whatever the anchors' layout, the cache is one C-contiguous (p, d)
+        array, so the map's product reads its anchors row-major."""
+        anchors = np.random.default_rng(14).standard_normal((5, 14))
+        if layout == "F":
+            anchors = np.asfortranarray(anchors)
+        elif layout == "strided":
+            anchors = anchors[:, ::2]
+        assert_row_major_scaled_anchors(AnchorSet(anchors=anchors, kernel_width=1.0))
 
 
 # Small enough that a handful of columns spans several blocks; a multiple
