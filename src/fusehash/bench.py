@@ -35,7 +35,6 @@ from .training import (
     TrainConfig,
     TrainedModel,
     fit,
-    fuse_encode_fixed,
     update_projection,
     update_weights,
 )
@@ -69,7 +68,8 @@ def retrieval_map(
     Database codes come from the training-weight hash function and query
     codes from the adaptive encoder.
     """
-    db_codes = fuse_encode_fixed(model, bundle.features_at(bundle.retrieval_indices))
+    db_batch = QueryBatch(features=bundle.features_at(bundle.retrieval_indices))
+    db_codes = encode_fixed(model, db_batch).codes
     batch = QueryBatch(features=bundle.features_at(bundle.query_indices))
     result = encode_adaptive(model, batch)
     report = mean_average_precision(
@@ -123,7 +123,8 @@ def run_ablation(
     )
     adaptive = encode_stream(model, batches, mode="adaptive")
     fixed = encode_stream(model, batches, mode="fixed")
-    db_codes = fuse_encode_fixed(model, bundle.features_at(bundle.retrieval_indices))
+    db_batch = QueryBatch(features=bundle.features_at(bundle.retrieval_indices))
+    db_codes = encode_fixed(model, db_batch).codes
     db_labels = bundle.labels_at(bundle.retrieval_indices)
     query_labels = bundle.labels_at(bundle.query_indices)
 

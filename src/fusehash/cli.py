@@ -28,6 +28,7 @@ from .encoding import ENCODE_MODES, FailedBatch, QueryBatch, encode_stream
 from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
 from .exceptions import (
     CorruptFileError,
+    EmptyBatchError,
     FusehashError,
     InvalidParameterError,
     ShapeError,
@@ -215,6 +216,8 @@ def cmd_encode(args) -> int:
     if not present:
         raise InvalidParameterError("all modalities are marked missing")
     total = present[0].shape[1]
+    if total == 0:
+        raise EmptyBatchError("the features have zero samples")
     batch_size = args.batch_size if args.batch_size else total
     if batch_size < 1:
         raise InvalidParameterError(f"batch-size must be positive, got {batch_size}")

@@ -3,8 +3,9 @@
 The trained projections stay frozen; each arriving batch gets its own
 modality weights, learned by alternating a sign step for the codes with a
 residual-proportional weight step. Modalities absent from a batch carry
-weight zero and drop out of the fusion. The sign step is training's
-``_fuse_signs``, the one every encoder uses.
+weight zero and drop out of the fusion. :func:`encode_fixed` is the
+fixed-weight hash function, which fuses with the training weights instead.
+Both take their codes from one sign step, :func:`_fuse_signs`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .exceptions import (
     ShapeError,
 )
 from .kernel import apply_kernel
-from .training import TrainedModel, _fuse_signs, _settled, update_weights
+from .packing import sign_to_pm1
+from .training import TrainedModel, _settled, update_weights
 
 ENCODE_MODES = ("adaptive", "fixed")
 
@@ -93,6 +95,20 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
     return present, projected
 
 
+def _fuse_signs(scaled_terms) -> np.ndarray:
+    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` from the
+    terms ``P_m / w_m`` in modality order.
+
+    Each term must be a fresh array: the sum accumulates into the first in
+    place. Given a generator, it holds one term besides the sum at a time.
+    """
+    terms = iter(scaled_terms)
+    fused = next(terms)
+    for term in terms:
+        fused += term
+    return sign_to_pm1(fused)
+
+
 def _squared_residuals(present, projected, codes) -> np.ndarray:
     """``||codes - P_m||_F^2`` per present modality, from one residual each.
 
@@ -152,11 +168,11 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
 
 def encode_fixed(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     """Encode one batch with the training weights, renormalized over the
-    modalities actually present."""
+    modalities actually present: the fixed-weight hash function."""
     present, projected = _project_batch(model, batch)
     if len(present) == model.num_modalities:
-        # No renormalization: keeps full-modality output bit-identical to
-        # the training-stage fused hash function.
+        # The stored weights as they are: renormalizing them can change their
+        # last bit, and with it the codes of a database encoded before.
         weights = np.asarray(model.train_weights, dtype=np.float64).copy()
     else:
         weights = np.zeros(model.num_modalities)

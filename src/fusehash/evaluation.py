@@ -69,11 +69,11 @@ def hamming_rank(query, database) -> RankedRetrieval:
 def _rank_blocks(query_codes, db_codes):
     """Rank the database for consecutive blocks of at most RANK_BLOCK queries.
 
-    Packs the ``(r, n_q)`` query codes and the ``(r, n_db)`` database codes
-    once, then yields ``(start, order, distances)`` per block of b queries:
-    ``order`` is the ``(b, n_db)`` stable ranking of queries ``start`` to
-    ``start + b - 1``, and ``distances`` their ``(b, n_db)`` narrow-dtype
-    distances in database order.
+    Checks the ``(r, n_q)`` query and ``(r, n_db)`` database code shapes at
+    once; the returned iterator packs both once, then yields ``(start, order,
+    distances)`` per block of b queries: ``order`` is the ``(b, n_db)`` stable
+    ranking of queries ``start`` to ``start + b - 1``, and ``distances`` their
+    ``(b, n_db)`` narrow-dtype distances in database order.
     """
     q = np.asarray(query_codes)
     db = np.asarray(db_codes)
@@ -82,9 +82,13 @@ def _rank_blocks(query_codes, db_codes):
             f"query codes {q.shape} and database codes {db.shape} disagree "
             "on code length"
         )
+    return _ranked_blocks(query_codes, db_codes, np.min_scalar_type(q.shape[0]))
+
+
+def _ranked_blocks(query_codes, db_codes, dtype):
+    """The iterator of :func:`_rank_blocks`, with distances of ``dtype``."""
     q_words = _words(pack_codes(query_codes))  # the originals: a loaded CodeMatrix
     db_words = _words(pack_codes(db_codes))  # hands over its bytes, np.asarray would not
-    dtype = np.min_scalar_type(q.shape[0])
     for start in range(0, q_words.shape[0], RANK_BLOCK):
         block = q_words[start : start + RANK_BLOCK]
         distances = np.zeros((block.shape[0], db_words.shape[0]), dtype=dtype)
@@ -153,15 +157,9 @@ def mean_average_precision(
     memory; each item's labels become a bitset of ``ceil(L/64)`` words, and
     relevance is built for one block of queries at a time.
     """
-    q = np.asarray(query_codes)
-    db = np.asarray(db_codes)
-    if q.ndim != 2 or db.ndim != 2 or q.shape[0] != db.shape[0]:
-        raise ShapeError(
-            f"query codes {q.shape} and database codes {db.shape} disagree "
-            "on code length"
-        )
-    num_queries = q.shape[1]
-    num_db = db.shape[1]
+    blocks = _rank_blocks(query_codes, db_codes)  # code lengths are checked first
+    num_queries = np.shape(query_codes)[1]
+    num_db = np.shape(db_codes)[1]
     if num_queries == 0 or num_db == 0:
         raise InvalidParameterError("query set and database must be non-empty")
     if len(query_labels) != num_queries or len(db_labels) != num_db:
@@ -185,7 +183,7 @@ def mean_average_precision(
     db_bits = _label_bits(db_labels, label_ids)
 
     per_query = np.empty(num_queries)
-    for start, order, _ in _rank_blocks(query_codes, db_codes):
+    for start, order, _ in blocks:
         relevant = np.zeros(order.shape, dtype=bool)  # label-intersection test, word by word
         for q_word, db_word in zip(query_bits[start : start + order.shape[0]].T, db_bits.T):
             relevant |= np.bitwise_and.outer(q_word, db_word) != 0

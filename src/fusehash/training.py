@@ -8,6 +8,8 @@ the objective never increases in exact arithmetic. The kernel features
 enter only through their Gram statistics ``K K^T`` and ``T K^T``, summed
 over column blocks of the kernel map, and the residual norms come from
 those statistics, so training never holds a ``(p, n)`` kernel matrix.
+
+This module only trains; every encoder lives in :mod:`fusehash.encoding`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .exceptions import (
     NumericalError,
     ShapeError,
 )
-from .kernel import AnchorSet, _kernel_blocks, apply_kernel, require_finite, select_anchors
-from .packing import sign_to_pm1
+from .kernel import AnchorSet, _kernel_blocks, require_finite, select_anchors
+from .kernel import apply_kernel  # noqa: F401 (unused; perfbench's tracing test reads it here)
 
 # Residual norms are clamped here before normalizing, so an exact fit
 # cannot zero out a weight.
@@ -292,36 +294,13 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     )
 
 
-def _fuse_signs(scaled_terms) -> np.ndarray:
-    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` from the
-    terms ``P_m / w_m`` in modality order.
-
-    Each term must be a fresh array: the sum accumulates into the first in
-    place. Given a generator, it holds one term besides the sum at a time.
-    """
-    fused = None
-    for term in scaled_terms:
-        if fused is None:
-            fused = term
-        else:
-            fused += term
-    return sign_to_pm1(fused)
-
-
 def fuse_encode_fixed(model: TrainedModel, features) -> np.ndarray:
-    """Sign of the training-weight-fused projection of full-modality data.
+    """Codes of :func:`fusehash.encoding.encode_fixed` for a list of
+    per-modality feature matrices: the fixed-weight hash function.
 
-    This is the fixed-weight hash function: each modality contributes its
-    projection scaled by the reciprocal of its training weight. Each term
-    comes from the blocked projected kernel map, is scaled in place and is
-    added into one ``(r, n)`` sum, so no ``(p, n)`` kernel matrix is built.
+    A thin wrapper kept because the benchmark harness calls and traces this
+    name; delete it once ROADMAP item 1 moves the harness off it.
     """
-    if len(features) != model.num_modalities:
-        raise ShapeError(
-            f"model has {model.num_modalities} modalities, got {len(features)}"
-        )
-    projected = (
-        apply_kernel(feats, anchor_set, proj)
-        for feats, anchor_set, proj in zip(features, model.anchor_sets, model.projections)
-    )
-    return _fuse_signs(np.divide(p, w, out=p) for p, w in zip(projected, model.train_weights))
+    from .encoding import QueryBatch, encode_fixed  # encoding imports this module
+
+    return encode_fixed(model, QueryBatch(features=list(features))).codes

@@ -193,6 +193,20 @@ class TestEncode:
         assert code == 0
         assert load_codes(out).shape == (8, 20)
 
+    def test_zero_sample_features_are_an_empty_batch(self, workspace, capsys, tmp_path):
+        from fusehash import store_features
+
+        f0 = tmp_path / "f0.amfh"
+        store_features(np.zeros((8, 0)), f0)
+        out = tmp_path / "codes.amfh"
+        code, _, stderr = run([
+            "encode", "--model", str(workspace["model"]),
+            "--features", str(f0), "-", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stderr == "error: EmptyBatchError: the features have zero samples\n"
+        assert not out.exists()
+
     def test_all_missing_is_an_error(self, workspace, capsys, tmp_path):
         code, _, stderr = run([
             "encode", "--model", str(workspace["model"]),

@@ -305,6 +305,8 @@ class TestMeanAveragePrecision:
             mean_average_precision(code, [{0}, {1}], code, [{0}])
         with pytest.raises(ShapeError):
             mean_average_precision(np.ones((6, 1), dtype=np.int8), [{0}], code, [{0}])
+        with pytest.raises(ShapeError):  # before the label counts are compared
+            mean_average_precision(np.ones((6, 1), dtype=np.int8), [{0}, {1}], code, [{0}])
 
     @pytest.mark.parametrize("num_queries", [63, 64, 65])
     @settings(max_examples=5, deadline=None)

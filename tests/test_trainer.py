@@ -1,6 +1,10 @@
 """Alternating trainer: closed-form updates, objective, convergence."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from fusehash import kernel, training
 from fusehash.centers import assign_target_codes
 from fusehash.exceptions import (
     DegenerateWeightError,
+    EmptyBatchError,
     InvalidParameterError,
     NumericalError,
     ShapeError,
@@ -584,6 +589,53 @@ class TestFuseEncodeFixed:
         )
         with pytest.raises(ShapeError):
             fuse_encode_fixed(model, [np.zeros((2, 5)), np.zeros((2, 5))])
+
+    def two_modality_model(self, rng):
+        return TrainedModel(
+            projections=[rng.standard_normal((4, 3)) for _ in range(2)],
+            anchor_sets=[AnchorSet(anchors=rng.standard_normal((2, 3)), kernel_width=1.5)] * 2,
+            train_weights=np.array([0.4, 0.6]),
+            delta=1e-3,
+            code_length=4,
+        )
+
+    def test_rejects_modalities_of_different_sample_counts(self):
+        model = self.two_modality_model(np.random.default_rng(17))
+        with pytest.raises(ShapeError, match="disagree on batch size"):
+            fuse_encode_fixed(model, [np.zeros((2, 5)), np.zeros((2, 6))])
+
+    def test_rejects_zero_samples_like_every_encoder(self):
+        model = self.two_modality_model(np.random.default_rng(17))
+        with pytest.raises(EmptyBatchError):
+            fuse_encode_fixed(model, [np.zeros((2, 0)), np.zeros((2, 0))])
+
+    @pytest.mark.parametrize("module", ["fusehash.training", "fusehash.encoding"])
+    def test_fresh_import_encodes(self, module):
+        """``fuse_encode_fixed`` imports ``encoding`` when called, because
+        ``encoding`` imports ``training``: a fresh interpreter importing
+        either module first can encode, so the import has not moved to the
+        top of ``training``, where it would be circular."""
+        probe = (
+            f"import {module}\n"
+            "import numpy as np\n"
+            "from fusehash import training\n"
+            "from fusehash.kernel import AnchorSet\n"
+            "model = training.TrainedModel(projections=[np.ones((4, 3))], "
+            "anchor_sets=[AnchorSet(anchors=np.eye(2, 3), kernel_width=1.0)], "
+            "train_weights=np.array([1.0]), delta=1e-3, code_length=4)\n"
+            "print(training.fuse_encode_fixed(model, [np.zeros((2, 5))]).shape)\n"
+        )
+        package_root = str(Path(training.__file__).parents[1])  # the fusehash under test
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "(4, 5)"
 
     def test_reproduces_training_targets(self, standard_bundle, trained_standard):
         """Trained codes match the assigned class centers on most bits."""
