@@ -95,29 +95,32 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
     return present, projected
 
 
-def _fuse_signs(scaled_terms) -> np.ndarray:
-    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` from the
-    terms ``P_m / w_m`` in modality order.
+def _fuse_signs(present, projected, weights, fused, scratch) -> np.ndarray:
+    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` over the
+    present modalities in order.
 
-    Each term must be a fresh array: the sum accumulates into the first in
-    place. Given a generator, it holds one term besides the sum at a time.
+    The sum accumulates in ``fused`` and each later term is scaled into
+    ``scratch``, two ``(r, n)`` float64 buffers that the caller reuses.
     """
-    terms = iter(scaled_terms)
-    fused = next(terms)
-    for term in terms:
-        fused += term
+    first, *rest = present
+    np.divide(projected[first], weights[first], out=fused)
+    for m in rest:
+        np.divide(projected[m], weights[m], out=scratch)
+        fused += scratch
     return sign_to_pm1(fused)
 
 
-def _squared_residuals(present, projected, codes) -> np.ndarray:
-    """``||codes - P_m||_F^2`` per present modality, from one residual each.
+def _squared_residuals(present, projected, codes, scratch) -> np.ndarray:
+    """``||codes - P_m||_F^2`` per present modality, each residual formed in
+    the ``(r, n)`` float64 buffer ``scratch``.
 
     The square is the dot product that ``np.linalg.norm`` takes, so
     ``np.sqrt`` of it is that norm bit for bit.
     """
     squared = np.empty(len(present))
+    resid = scratch.reshape(-1)
     for i, m in enumerate(present):
-        resid = (codes - projected[m]).ravel()
+        np.subtract(codes, projected[m], out=scratch)
         squared[i] = resid.dot(resid)
     return squared
 
@@ -138,16 +141,17 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
 
     weights = np.zeros(model.num_modalities)
     weights[present] = 1.0 / len(present)
+    fused, scratch = np.empty_like(projected[present[0]]), np.empty_like(projected[present[0]])
     codes = None
     trace: list[float] = []
     iterations = 0
     for _ in range(MAX_ITERS):
-        new_codes = _fuse_signs(projected[m] / weights[m] for m in present)
+        new_codes = _fuse_signs(present, projected, weights, fused, scratch)
         iterations += 1
         if codes is not None and np.array_equal(new_codes, codes):
             break
         codes = new_codes
-        squared = _squared_residuals(present, projected, codes)
+        squared = _squared_residuals(present, projected, codes, scratch)
         new_weights = np.zeros(model.num_modalities)
         new_weights[present] = update_weights(np.sqrt(squared))
         value = float((squared / new_weights[present]).sum())
@@ -178,8 +182,9 @@ def encode_fixed(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
         weights = np.zeros(model.num_modalities)
         train = model.train_weights[present]
         weights[present] = train / train.sum()
-    codes = _fuse_signs(projected[m] / weights[m] for m in present)
-    squared = _squared_residuals(present, projected, codes)
+    fused, scratch = np.empty_like(projected[present[0]]), np.empty_like(projected[present[0]])
+    codes = _fuse_signs(present, projected, weights, fused, scratch)
+    squared = _squared_residuals(present, projected, codes, scratch)
     return EncodeResult(
         codes=codes,
         dynamic_weights=weights,

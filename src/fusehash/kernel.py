@@ -7,12 +7,21 @@ anchors drawn from the training columns of the same modality, giving a
 the mean distance over one list of anchor pairs: every pair when there are
 at most ``MAX_WIDTH_PAIRS`` of them, otherwise that many seeded draws.
 
-The map's one product multiplies a cached C-contiguous (p, d) array of
-``-2 a_j`` rows by the (d, n) features. With its anchors row-major, BLAS
-packs no transposed operand per call, which sets the cost of the thin
-products of small-batch encoding: on 2 vCPUs with OpenBLAS 0.3.31, the
-projected map of an 8-column batch at d=256, p=1000, r=64 takes 340-405 us,
-against 405-520 us through a transposed (d, p) view.
+Precision: the map computes in float32 around the anchor mean ``mu``.
+Features and anchors are centred on ``mu`` in float64 and rounded once to
+float32; the product with the cached C-contiguous (p, d) rows
+``-2 (a_j - mu)``, the norms, the clamp, the scale and the exp run in
+float32, and each block of K is widened to float64 once, which is exact.
+Everything downstream of K (projection, Gram statistics, solves, residuals)
+stays float64. Centring keeps the expansion ``||x||^2 - 2 a.x + ||a||^2``
+from cancelling when features share a large offset: on Gaussian features
+with a common offset up to 1e4 and scales 0.01-100, measured entries stayed
+within 5.3 float32 epsilons (2**-23) of the exact map, where an uncentred
+float64 map misses by up to 6e-4 at an offset of 1e4. The float32 product
+halves the anchor bytes BLAS packs per call, which sets the cost of the
+thin products of small-batch encoding: on 2 vCPUs with OpenBLAS 0.3.31, the
+projected map of an 8-column batch at d=256, p=1000, r=64 took 153-221 us
+against 227-280 us in float64 (three alternating in-process runs).
 """
 
 from __future__ import annotations
@@ -36,10 +45,11 @@ KERNEL_BLOCK = 1024
 class AnchorSet:
     """Anchors of one modality plus the Gaussian width used with them.
 
-    Treat ``anchors`` as read-only: their squared norms, shape (p, 1), and
-    their -2 multiple, transposed to a C-contiguous (p, d) array, are cached
-    on first use, outside the dataclass fields, so they are neither stored
-    nor compared. Pickles carry the caches; ``load_model`` rebuilds them.
+    Treat ``anchors`` as read-only: the map's operands derived from them (the
+    anchor mean, the centred anchors' -2 multiple and their squared norms)
+    are cached on first use, outside the dataclass fields, so they are
+    neither stored nor compared. Pickles carry the caches; ``load_model``
+    rebuilds them.
     """
 
     anchors: np.ndarray  # (d, p), columns are anchor points
@@ -48,18 +58,27 @@ class AnchorSet:
     seed: int = 0
 
     @cached_property
-    def squared_norms(self) -> np.ndarray:
-        """``||a_j||^2`` per anchor, shape (p, 1)."""
-        return (self.anchors * self.anchors).sum(axis=0)[:, None]
+    def anchor_mean(self) -> np.ndarray:
+        """The mean anchor ``mu``, a float64 (d, 1) column. The map centres
+        features and anchors on it before rounding them to float32."""
+        return self.anchors.mean(axis=1, keepdims=True)
 
     @cached_property
     def scaled_anchors(self) -> np.ndarray:
-        """``-2 a_j`` as rows, a C-contiguous (p, d) array equal to
-        ``(-2 anchors).T``. The map's product then reads its anchors
-        row-major, so BLAS does not pack a transposed operand on every
-        call. Scaling by a power of two does not round, so the map needs no
-        pass for the -2."""
-        return np.multiply(self.anchors.T, -2.0, order="C")
+        """``-2 (a_j - mu)`` as rows, a C-contiguous float32 (p, d) array.
+        The map's product then reads its anchors row-major, so BLAS does not
+        pack a transposed operand on every call. The centring is done in
+        float64 and the result rounded once; scaling by -2 does not round."""
+        scaled = np.empty(self.anchors.shape[::-1], dtype=np.float32)
+        np.multiply((self.anchors - self.anchor_mean).T, -2.0, out=scaled)
+        return scaled
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """``||a_j - mu||^2`` per anchor, summed in float64 and rounded once
+        to a float32 (p, 1) column."""
+        centred = self.anchors - self.anchor_mean
+        return (centred * centred).sum(axis=0).astype(np.float32)[:, None]
 
 
 def select_anchors(
@@ -111,9 +130,10 @@ def _mean_anchor_distance(anchors, rng) -> float:
 def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray:
     """Gaussian kernel map: entry (j, i) = exp(-||x_i - a_j||^2 / (2 sigma^2)).
 
-    The squared distances ``||a||^2 - 2 a.x + ||x||^2`` are built and
-    exponentiated inside the single (p, n) product array, so the map
-    allocates one array of its output's size.
+    Computed in float32 around the anchor mean and returned as float64 (see
+    the module docstring). Without a projection, the ``(p, n)`` result is
+    filled one column block of ``_kernel_blocks`` at a time, so besides it
+    the map holds only one block's float32 work arrays.
 
     With an ``(r, p)`` ``projection``, returns ``projection @ K`` without
     building the whole of K: the column blocks of ``_kernel_blocks`` are
@@ -138,8 +158,10 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
         )
     if projection is None:
-        name = f"modality {anchor_set.modality_index} features"
-        return _map_block(require_finite(feats, name), anchor_set)
+        kernel = np.empty((anchors.shape[1], feats.shape[1]))
+        for _ in _kernel_blocks(feats, anchor_set, kernel):
+            pass
+        return kernel
     proj = np.asarray(projection, dtype=np.float64)
     if proj.ndim != 2 or proj.shape[1] != anchors.shape[1]:
         raise ShapeError(
@@ -151,24 +173,34 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     return out
 
 
-def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet):
+def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet, out=None):
     """Yield ``(start, stop, K[:, start:stop])`` over column blocks of the map.
 
     ``feats`` are float64 features of the anchors' dimensionality. Blocks
-    start at multiples of ``KERNEL_BLOCK`` and none is narrower unless it is
-    the only one: the last block takes the remainder, so fewer than
-    ``2 * KERNEL_BLOCK`` columns make one block, mapped exactly as
-    :func:`apply_kernel` maps them whole. Each block is checked for
-    non-finite features (:class:`NumericalError` naming the modality) and
-    mapped in place into a fresh ``(p, stop - start)`` array, so one block's
-    kernel values are alive at a time when the caller drops each.
+    start at multiples of ``KERNEL_BLOCK``; a remainder narrower than
+    ``KERNEL_BLOCK // 2`` joins the block before it, so no block is narrower
+    than that unless it is the only one, and fewer than
+    ``1.5 * KERNEL_BLOCK`` columns make one block, mapped exactly as the
+    whole matrix would be. Each block is checked for non-finite features
+    (:class:`NumericalError` naming the modality) and mapped into
+    ``out[:, start:stop]`` of a given float64 ``(p, n)`` ``out``; without
+    one, every block is widened into one float64 buffer reused from block
+    to block, so the caller must be done with a block before taking the next.
     """
-    n = feats.shape[1]
+    p, n = anchor_set.anchors.shape[1], feats.shape[1]
     name = f"modality {anchor_set.modality_index} features"
-    edges = [*range(0, max(n - KERNEL_BLOCK, 0) + 1, KERNEL_BLOCK), n]
-    for start, stop in zip(edges, edges[1:]):
+    edges = [*range(0, max(n - KERNEL_BLOCK // 2, 0) + 1, KERNEL_BLOCK), n]
+    spans = list(zip(edges, edges[1:]))
+    if out is None:
+        buffer = np.empty(p * max(stop - start for start, stop in spans))
+    for start, stop in spans:
         block = require_finite(feats[:, start:stop], name)
-        yield start, stop, _map_block(block, anchor_set)
+        if out is None:
+            dest = buffer[: p * (stop - start)].reshape(p, stop - start)
+        else:
+            dest = out[:, start:stop]
+        _map_block(block, anchor_set, dest)
+        yield start, stop, dest
 
 
 def require_finite(values, name: str) -> np.ndarray:
@@ -180,12 +212,19 @@ def require_finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _map_block(feats: np.ndarray, anchor_set: AnchorSet) -> np.ndarray:
-    """The kernel map of validated float64 features, computed in place."""
-    feat_norms = (feats * feats).sum(axis=0)[None, :]
-    sq = anchor_set.scaled_anchors @ feats
+def _map_block(feats: np.ndarray, anchor_set: AnchorSet, out: np.ndarray) -> None:
+    """Write the kernel map of validated float64 features into float64 ``out``.
+
+    Features are centred on the anchor mean in float64 and rounded once to
+    float32; the product, the norms, the clamp, the scale and the exp run in
+    float32, and the exp widens its result into ``out``.
+    """
+    centred = np.empty(feats.shape, dtype=np.float32)
+    np.subtract(feats, anchor_set.anchor_mean, out=centred)
+    feat_norms = (centred * centred).sum(axis=0)
+    sq = anchor_set.scaled_anchors @ centred
     sq += anchor_set.squared_norms
     sq += feat_norms
     np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
     sq /= -(2.0 * anchor_set.kernel_width**2)
-    return np.exp(sq, out=sq)
+    np.exp(sq, out=out)

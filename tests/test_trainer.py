@@ -410,7 +410,7 @@ class TestBlockedTraining:
     )
     def test_gram_statistics_equal_whole_products(self, monkeypatch, num_samples):
         """Blocked G and B equal K K^T and T K^T; byte-equal while one block
-        (n < 2 KERNEL_BLOCK) holds every column."""
+        (n < 1.5 KERNEL_BLOCK) holds every column."""
         monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
         rng = np.random.default_rng(num_samples)
         anchor_set = select_anchors(rng.standard_normal((4, 7)), 7, seed=0)
@@ -421,7 +421,7 @@ class TestBlockedTraining:
         for got, want in ((gram, whole @ whole.T), (cross, targets @ whole.T)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            if num_samples < 2 * SMALL_BLOCK:
+            if num_samples < 1.5 * SMALL_BLOCK:
                 assert got.tobytes() == want.tobytes()
 
     def test_residual_pass_sums_every_block(self, monkeypatch):
