@@ -19,15 +19,13 @@ import numpy as np
 
 from .centers import audit_centers, build_center_table, count_classes, required_order
 from .encoding import (
-    EncodeResult,
-    FailedBatch,
     QueryBatch,
+    _stream_codes,
     encode_adaptive,
     encode_fixed,
     encode_stream,
 )
 from .evaluation import average_precision, mean_average_precision
-from .exceptions import FusehashError
 from .kernel import AnchorSet, apply_kernel
 from .packing import sign_to_pm1
 from .synth import DatasetBundle, SynthSpec, generate_synthetic, make_noisy_stream
@@ -92,17 +90,6 @@ class AblationResult:
     corrupted: list[int]
     adaptive_weights: list[np.ndarray]
     fixed_weights: list[np.ndarray]
-
-
-def _stream_codes(results: list[EncodeResult | FailedBatch]) -> np.ndarray:
-    codes = []
-    for result in results:
-        if isinstance(result, FailedBatch):
-            raise FusehashError(
-                f"batch {result.batch_index} failed: {result.error}"
-            ) from result.error
-        codes.append(result.codes)
-    return np.concatenate(codes, axis=1)
 
 
 def run_ablation(

@@ -24,11 +24,10 @@ from .bench import (
     train_on_bundle,
 )
 from .centers import audit_centers, build_center_table, count_classes
-from .encoding import ENCODE_MODES, FailedBatch, QueryBatch, encode_stream
+from .encoding import ENCODE_MODES, _split_batches, _stream_codes, encode_stream
 from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
 from .exceptions import (
     CorruptFileError,
-    EmptyBatchError,
     FusehashError,
     InvalidParameterError,
     ShapeError,
@@ -211,30 +210,9 @@ def _encode_features(args, model):
 
 def cmd_encode(args) -> int:
     model = load_model(args.model)
-    features = _encode_features(args, model)
-    present = [mat for mat in features if mat is not None]
-    if not present:
-        raise InvalidParameterError("all modalities are marked missing")
-    total = present[0].shape[1]
-    if total == 0:
-        raise EmptyBatchError("the features have zero samples")
-    batch_size = args.batch_size if args.batch_size else total
-    if batch_size < 1:
-        raise InvalidParameterError(f"batch-size must be positive, got {batch_size}")
-    batches = [
-        QueryBatch(
-            features=[
-                None if mat is None else mat[:, start : min(start + batch_size, total)]
-                for mat in features
-            ]
-        )
-        for start in range(0, total, batch_size)
-    ]
+    batches = _split_batches(_encode_features(args, model), args.batch_size or None)
     results = encode_stream(model, batches, mode=args.mode)
-    for result in results:
-        if isinstance(result, FailedBatch):
-            raise FusehashError(f"batch {result.batch_index} failed: {result.error}")
-    codes = np.concatenate([result.codes for result in results], axis=1)
+    codes = _stream_codes(results)
     store_codes(codes, args.out)
     if args.weights_trace:
         _write_weight_trace(args.weights_trace, [r.dynamic_weights for r in results])

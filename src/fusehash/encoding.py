@@ -6,6 +6,11 @@ residual-proportional weight step. Modalities absent from a batch carry
 weight zero and drop out of the fusion. :func:`encode_fixed` is the
 fixed-weight hash function, which fuses with the training weights instead.
 Both take their codes from one sign step, :func:`_fuse_signs`.
+
+A stream takes one path: :func:`_split_batches` cuts features into batches,
+:func:`encode_stream` encodes each alone, and :func:`_stream_codes` joins
+their codes or raises on a failed batch. Present modalities must agree on
+the sample count, the rule ``kernel._sample_count`` that ``fit`` shares.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import numpy as np
 
 from .exceptions import (
     EmptyBatchError,
+    FusehashError,
     InvalidParameterError,
     NumericalError,
     ShapeError,
 )
-from .kernel import apply_kernel
+from .kernel import _sample_count, apply_kernel
 from .packing import sign_to_pm1
 from .training import TrainedModel, _settled, update_weights
 
@@ -43,10 +49,7 @@ class QueryBatch:
 
     @property
     def batch_size(self) -> int:
-        for feats in self.features:
-            if feats is not None:
-                return np.asarray(feats).shape[-1]
-        return 0
+        return _sample_count(self.features)
 
 
 @dataclass
@@ -67,11 +70,32 @@ class FailedBatch:
     error: Exception
 
 
+def _split_batches(features, batch_size: int | None = None) -> list[QueryBatch]:
+    """Cut ``(d, n)`` arrays (``None``: a modality missing throughout) into
+    batches of views of ``batch_size`` consecutive columns, in column order;
+    ``None`` makes one batch. Raises :class:`EmptyBatchError` when every
+    modality is missing or n is 0, and :class:`InvalidParameterError` when
+    ``batch_size`` < 1."""
+    if all(mat is None for mat in features):
+        raise EmptyBatchError("every modality is missing")
+    n = _sample_count(features)
+    if n == 0:
+        raise EmptyBatchError("the features have zero samples")
+    batch_size = n if batch_size is None else batch_size
+    if batch_size < 1:
+        raise InvalidParameterError(f"batch_size must be positive, got {batch_size}")
+    return [
+        QueryBatch([None if mat is None else mat[:, start : start + batch_size] for mat in features])
+        for start in range(0, n, batch_size)
+    ]
+
+
 def _project_batch(model: TrainedModel, batch: QueryBatch):
     """Frozen projections of the batch per present modality.
 
     Returns the present-modality indices plus a dict mapping each to its
-    ``W_m @ phi_m(X)`` scores; all weight handling happens downstream.
+    ``W_m @ phi_m(X)`` scores; all weight handling happens downstream. The
+    batch's shape is checked before any modality is mapped.
     """
     if len(batch.features) != model.num_modalities:
         raise ShapeError(
@@ -81,17 +105,12 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
     present = batch.present_modalities
     if not present:
         raise EmptyBatchError("every modality is missing from the batch")
-    projected: dict[int, np.ndarray] = {}
-    sizes = set()
-    for m in present:
-        projected[m] = apply_kernel(
-            batch.features[m], model.anchor_sets[m], model.projections[m]
-        )
-        sizes.add(projected[m].shape[1])
-    if len(sizes) != 1:
-        raise ShapeError(f"present modalities disagree on batch size: {sorted(sizes)}")
-    if sizes.pop() == 0:
+    if _sample_count(batch.features) == 0:
         raise EmptyBatchError("batch has zero samples")
+    projected = {
+        m: apply_kernel(batch.features[m], model.anchor_sets[m], model.projections[m])
+        for m in present
+    }
     return present, projected
 
 
@@ -217,3 +236,16 @@ def encode_stream(
         except (ShapeError, EmptyBatchError, InvalidParameterError, NumericalError) as exc:
             results.append(FailedBatch(batch_index=index, error=exc))
     return results
+
+
+def _stream_codes(results: list[EncodeResult | FailedBatch]) -> np.ndarray:
+    """The stream's codes side by side, or :class:`FusehashError` naming the
+    first :class:`FailedBatch`, chained to its error."""
+    codes = []
+    for result in results:
+        if isinstance(result, FailedBatch):
+            raise FusehashError(
+                f"batch {result.batch_index} failed: {result.error}"
+            ) from result.error
+        codes.append(result.codes)
+    return np.concatenate(codes, axis=1)

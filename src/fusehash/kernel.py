@@ -144,7 +144,10 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     kernel, a column can differ from the unblocked product in the last bit.
 
     Features must be finite: a NaN or infinite feature raises
-    :class:`NumericalError` naming the anchor set's modality.
+    :class:`NumericalError` naming the anchor set's modality. So must the
+    result: features so far out that the float32 map overflows into a NaN
+    raise the same error, while features merely far from every anchor map
+    to 0.
     """
     feats = np.asarray(features, dtype=np.float64)
     anchors = anchor_set.anchors
@@ -157,11 +160,12 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
         raise InvalidParameterError(
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
         )
+    name = f"modality {anchor_set.modality_index} kernel features"
     if projection is None:
         kernel = np.empty((anchors.shape[1], feats.shape[1]))
         for _ in _kernel_blocks(feats, anchor_set, kernel):
             pass
-        return kernel
+        return require_finite(kernel, name)
     proj = np.asarray(projection, dtype=np.float64)
     if proj.ndim != 2 or proj.shape[1] != anchors.shape[1]:
         raise ShapeError(
@@ -170,7 +174,7 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     out = np.empty((proj.shape[0], feats.shape[1]))
     for start, stop, block in _kernel_blocks(feats, anchor_set):
         np.matmul(proj, block, out=out[:, start:stop])
-    return out
+    return require_finite(out, name)
 
 
 def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet, out=None):
@@ -201,6 +205,19 @@ def _kernel_blocks(feats: np.ndarray, anchor_set: AnchorSet, out=None):
             dest = out[:, start:stop]
         _map_block(block, anchor_set, dest)
         yield start, stop, dest
+
+
+def _sample_count(mats) -> int:
+    """The sample count n of the ``(d, n)`` feature matrices ``mats``, skipping
+    ``None`` entries (0 if none is left); :class:`ShapeError` for a
+    non-matrix or for counts that disagree."""
+    for m, mat in enumerate(mats):
+        if mat is not None and np.ndim(mat) != 2:
+            raise ShapeError(f"modality {m} is not a matrix: shape {np.shape(mat)}")
+    counts = {np.shape(mat)[1] for mat in mats if mat is not None}
+    if len(counts) > 1:
+        raise ShapeError(f"modalities disagree on sample count: {sorted(counts)}")
+    return counts.pop() if counts else 0
 
 
 def require_finite(values, name: str) -> np.ndarray:

@@ -359,12 +359,19 @@ def load_labels(path) -> list[set[int]]:
     return sets
 
 
-def _load_split(path) -> np.ndarray:
+def _load_split(path, num_samples: int) -> np.ndarray:
+    """A split file's sample indices, each in ``[0, num_samples)``."""
     text = Path(path).read_text().split()
     try:
-        return np.array([int(tok) for tok in text], dtype=np.int64)
-    except ValueError as exc:
+        indices = np.array([int(tok) for tok in text], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise CorruptFileError(f"{path}: malformed split index") from exc
+    outside = indices[(indices < 0) | (indices >= num_samples)]
+    if outside.size:
+        raise CorruptFileError(
+            f"{path}: split index {outside[0]} outside [0, {num_samples})"
+        )
+    return indices
 
 
 def load_bundle(directory) -> DatasetBundle:
@@ -389,7 +396,7 @@ def load_bundle(directory) -> DatasetBundle:
     return DatasetBundle(
         modalities=modalities,
         labels=labels,
-        train_indices=_load_split(path / "split.train.txt"),
-        query_indices=_load_split(path / "split.query.txt"),
-        retrieval_indices=_load_split(path / "split.retrieval.txt"),
+        train_indices=_load_split(path / "split.train.txt", len(labels)),
+        query_indices=_load_split(path / "split.query.txt", len(labels)),
+        retrieval_indices=_load_split(path / "split.retrieval.txt", len(labels)),
     )

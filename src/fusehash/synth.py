@@ -3,7 +3,8 @@
 Each class gets one Gaussian prototype per modality; samples are drawn
 around their class prototype, and the same sample index refers to the same
 underlying item in every modality. Streams with a per-batch corrupted
-modality can be derived from any split to exercise weight adaptation.
+modality can be derived from any split to exercise weight adaptation; they
+are cut by ``encoding._split_batches``, the splitter of every stream.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import QueryBatch
+from .encoding import QueryBatch, _split_batches
 from .exceptions import InvalidParameterError
 
 
@@ -133,12 +134,14 @@ def make_noisy_stream(
     noise_scale: float,
     seed: int = 0,
 ) -> tuple[list[QueryBatch], list[int]]:
-    """Cut paired features into batches, corrupting one modality per batch.
+    """Cut paired features into the batches of ``encoding._split_batches``,
+    each holding its own C-contiguous copies, and corrupt one modality per
+    batch.
 
     The corrupted modality cycles with the batch index; it receives additive
     Gaussian noise scaled by ``noise_scale`` times the modality's overall
-    standard deviation. Returns the batches and the per-batch corrupted
-    modality index.
+    standard deviation. Every modality must be present. Returns the batches
+    and the per-batch corrupted modality index.
     """
     if batch_size < 1:
         raise InvalidParameterError(f"batch_size must be positive, got {batch_size}")
@@ -146,25 +149,21 @@ def make_noisy_stream(
         raise InvalidParameterError(
             f"noise_scale must be non-negative, got {noise_scale}"
         )
-    mats = [np.asarray(f, dtype=np.float64) for f in features]
-    num_modalities = len(mats)
-    if num_modalities == 0:
-        raise InvalidParameterError("need at least one modality")
-    n = mats[0].shape[1]
+    mats = [None if f is None else np.asarray(f, dtype=np.float64) for f in features]
+    if not mats or any(mat is None for mat in mats):
+        raise InvalidParameterError("need at least one modality, and no None among them")
+    views = _split_batches(mats, batch_size)
     rng = np.random.default_rng(seed)
     base_scales = [max(float(mat.std()), 1e-12) for mat in mats]
 
-    batches: list[QueryBatch] = []
-    corrupted: list[int] = []
-    for b, start in enumerate(range(0, n, batch_size)):
-        stop = min(start + batch_size, n)
-        target = b % num_modalities
-        parts: list[np.ndarray | None] = []
-        for m, mat in enumerate(mats):
-            chunk = mat[:, start:stop].copy()
-            if m == target:
-                chunk += noise_scale * base_scales[m] * rng.standard_normal(chunk.shape)
-            parts.append(chunk)
-        batches.append(QueryBatch(features=parts))
-        corrupted.append(target)
+    corrupted = [b % len(mats) for b in range(len(views))]
+    batches = [
+        QueryBatch([
+            chunk + noise_scale * base_scales[m] * rng.standard_normal(chunk.shape)
+            if m == target
+            else chunk.copy()
+            for m, chunk in enumerate(view.features)
+        ])
+        for view, target in zip(views, corrupted)
+    ]
     return batches, corrupted

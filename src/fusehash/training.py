@@ -25,7 +25,7 @@ from .exceptions import (
     NumericalError,
     ShapeError,
 )
-from .kernel import AnchorSet, _kernel_blocks, require_finite, select_anchors
+from .kernel import AnchorSet, _kernel_blocks, _sample_count, require_finite, select_anchors
 from .kernel import apply_kernel  # noqa: F401 (unused; perfbench's tracing test reads it here)
 
 # Residual norms are clamped here before normalizing, so an exact fit
@@ -161,7 +161,9 @@ def _ridge_solve(gram, cross, weight: float, delta: float) -> np.ndarray:
 def _gram_statistics(feats, anchor_set: AnchorSet, targets):
     """``G = K K^T`` and ``B = T K^T`` of the kernel map ``K`` of ``feats``,
     summed over its column blocks; the first block assigns, so one block
-    gives the unblocked products."""
+    gives the unblocked products. A non-finite entry of either, as from a
+    map that overflowed float32, raises :class:`NumericalError` naming the
+    modality."""
     gram = cross = None
     for start, stop, block in _kernel_blocks(feats, anchor_set):
         if gram is None:
@@ -169,7 +171,8 @@ def _gram_statistics(feats, anchor_set: AnchorSet, targets):
         else:
             gram += block @ block.T
             cross += targets[:, start:stop] @ block.T
-    return gram, cross
+    name = f"modality {anchor_set.modality_index} kernel features"
+    return require_finite(gram, name), require_finite(cross, name)
 
 
 def _squared_residual(
@@ -217,7 +220,8 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     change is at most ``REL_TOL`` (:func:`_settled`) or after ``MAX_ITERS``
     iterations. Deterministic for fixed inputs and seeds. Raises
     :class:`NumericalError` naming the modality when a training feature is
-    NaN or infinite.
+    NaN or infinite, or when features so far apart that the float32 map
+    overflows make its Gram statistics non-finite.
 
     Memory is O(M p^2 + p KERNEL_BLOCK + r n): each modality's kernel map is
     computed in column blocks and only its Gram statistics G and B are kept.
@@ -234,13 +238,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     mats = [np.asarray(f, dtype=np.float64) for f in features]
     if not mats:
         raise InvalidParameterError("need at least one modality")
-    for m, mat in enumerate(mats):
-        if mat.ndim != 2:
-            raise ShapeError(f"modality {m} is not a matrix: shape {mat.shape}")
-    counts = {mat.shape[1] for mat in mats}
-    if len(counts) != 1:
-        raise ShapeError(f"modalities disagree on sample count: {sorted(counts)}")
-    n = counts.pop()
+    n = _sample_count(mats)
     if n < 2:
         raise InvalidParameterError(f"need at least 2 training samples, got {n}")
     if len(labels) != n:

@@ -207,6 +207,68 @@ class TestEncode:
         assert stderr == "error: EmptyBatchError: the features have zero samples\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch_size", [[], ["--batch-size", "4"]], ids=["one-batch", "batches"])
+    def test_feature_files_of_different_sample_counts(
+        self, workspace, capsys, tmp_path, batch_size
+    ):
+        """8 and 12 samples are an error, not 8 codes that drop f1's last 4."""
+        from fusehash import store_features
+
+        rng = np.random.default_rng(5)
+        f0, f1 = tmp_path / "f0.amfh", tmp_path / "f1.amfh"
+        store_features(rng.standard_normal((8, 8)), f0)
+        store_features(rng.standard_normal((4, 12)), f1)
+        out = tmp_path / "codes.amfh"
+        code, _, stderr = run([
+            "encode", "--model", str(workspace["model"]),
+            "--features", str(f0), str(f1), *batch_size, "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stderr == (
+            "error: ShapeError: modalities disagree on sample count: [8, 12]\n"
+        )
+        assert not out.exists()
+
+    def test_a_failed_batch_stops_the_encode(self, workspace, capsys, tmp_path):
+        from fusehash import load_bundle, store_features
+
+        bundle = load_bundle(workspace["bundle"])
+        feats = bundle.features_at(bundle.query_indices)
+        feats[0][:, 10] = np.nan  # column 10 falls in the second batch of 7
+        paths = [tmp_path / "f0.amfh", tmp_path / "f1.amfh"]
+        for mat, path in zip(feats, paths):
+            store_features(mat, path)
+        out = tmp_path / "codes.amfh"
+        code, _, stderr = run([
+            "encode", "--model", str(workspace["model"]),
+            "--features", *map(str, paths), "--batch-size", "7", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stderr == (
+            "error: FusehashError: batch 1 failed: "
+            "modality 0 features hold a NaN or an infinity\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["-1", "999"])
+    def test_split_index_outside_the_bundle(self, workspace, capsys, tmp_path, index):
+        import shutil
+
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace["bundle"], bundle)
+        (bundle / "split.query.txt").write_text(f"0\n{index}\n")
+        out = tmp_path / "codes.amfh"
+        code, _, stderr = run([
+            "encode", "--model", str(workspace["model"]),
+            "--bundle", str(bundle), "--out", str(out),
+        ], capsys)
+        assert code == 1
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: CorruptFileError: ")
+        assert f"split index {index} outside [0, 80)" in lines[0]
+        assert not out.exists()
+
     def test_all_missing_is_an_error(self, workspace, capsys, tmp_path):
         code, _, stderr = run([
             "encode", "--model", str(workspace["model"]),
@@ -455,6 +517,48 @@ class TestConfigFile:
         )
         assert code == 1
         assert stderr.startswith("error:")
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "centers.cfg"
+        cfg.write_text("# a 16-bit table\n\nbits = 16\n   \n  # classes next\nclasses=10\n")
+        code, stdout, _ = run(["centers", "--config", str(cfg)], capsys)
+        assert code == 0
+        values = parse_kv_line(stdout.strip())
+        assert (values["bits"], values["classes"]) == ("16", "10")
+
+    def test_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "centers.cfg"
+        cfg.write_text("bits=16\nclasses=10\n")
+        code, stdout, _ = run(["centers", f"--config={cfg}"], capsys)
+        assert code == 0
+        assert parse_kv_line(stdout.strip())["bits"] == "16"
+
+    def test_malformed_line_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "centers.cfg"
+        cfg.write_text("bits=16\nclasses 10\n")
+        code, _, stderr = run(["centers", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert stderr == f"error: CorruptFileError: {cfg}: malformed config line 'classes 10'\n"
+
+    def test_config_without_a_path_is_an_error(self, capsys):
+        code, _, stderr = run(["centers", "--bits", "16", "--config"], capsys)
+        assert code == 1
+        assert stderr == "error: InvalidParameterError: --config requires a file path\n"
+
+    @pytest.mark.parametrize(
+        "value, per_query", [("true", True), ("yes", True), ("false", False), ("NO", False)]
+    )
+    def test_boolean_keys_set_or_leave_a_flag(self, workspace, tmp_path, capsys, value, per_query):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"per-query={value}\n")
+        report = tmp_path / "report.txt"
+        code, _, _ = run([
+            "eval", "--config", str(cfg), "--queries", str(workspace["query_codes"]),
+            "--db", str(workspace["db_codes"]), "--bundle", str(workspace["bundle"]),
+            "--out", str(report),
+        ], capsys)
+        assert code == 0
+        assert ("ap[0]" in report.read_text()) == per_query
 
 
 class TestErrorHandling:

@@ -26,6 +26,7 @@ from fusehash import (
 )
 from fusehash.exceptions import (
     EmptyBatchError,
+    FusehashError,
     InvalidParameterError,
     NumericalError,
     ShapeError,
@@ -104,6 +105,76 @@ class TestQueryBatch:
         batch = QueryBatch(features=[None, None])
         assert batch.present_modalities == []
         assert batch.batch_size == 0
+
+    def test_ragged_batch_has_no_size(self):
+        with pytest.raises(ShapeError, match="disagree on sample count"):
+            QueryBatch(features=[np.zeros((2, 3)), None, np.zeros((2, 4))]).batch_size
+
+
+class TestSplitBatches:
+    def features(self, n=10):
+        rng = np.random.default_rng(3)
+        return [rng.standard_normal((3, n)), None, rng.standard_normal((2, n))]
+
+    @pytest.mark.parametrize(
+        "batch_size, sizes",
+        [(4, [4, 4, 2]), (5, [5, 5]), (1, [1] * 10), (10, [10]), (1000, [10]), (None, [10])],
+    )
+    def test_views_in_column_order(self, batch_size, sizes):
+        feats = self.features()
+        batches = encoding._split_batches(feats, batch_size)
+        assert [batch.batch_size for batch in batches] == sizes
+        start = 0
+        for batch, size in zip(batches, sizes):
+            assert batch.features[1] is None
+            for m in (0, 2):
+                assert np.shares_memory(batch.features[m], feats[m])
+                np.testing.assert_array_equal(batch.features[m], feats[m][:, start : start + size])
+            start += size
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_non_positive_batch_size(self, batch_size):
+        with pytest.raises(InvalidParameterError, match="batch_size must be positive"):
+            encoding._split_batches(self.features(), batch_size)
+
+    @pytest.mark.parametrize("feats", [[], [None, None]], ids=["none", "all-missing"])
+    def test_rejects_every_modality_missing(self, feats):
+        with pytest.raises(EmptyBatchError, match="every modality is missing"):
+            encoding._split_batches(feats, 4)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(EmptyBatchError, match="the features have zero samples"):
+            encoding._split_batches(self.features(n=0), 4)
+
+    def test_rejects_sample_counts_that_disagree(self):
+        rng = np.random.default_rng(4)
+        feats = [rng.standard_normal((3, 8)), None, rng.standard_normal((2, 12))]
+        for batch_size in (None, 4):
+            with pytest.raises(ShapeError, match=r"disagree on sample count: \[8, 12\]"):
+                encoding._split_batches(feats, batch_size)
+
+
+class TestStreamCodes:
+    def test_joins_the_codes_in_order(self, trained_standard):
+        model, _ = trained_standard
+        rng = np.random.default_rng(8)
+        feats = [rng.standard_normal((32, 9)), rng.standard_normal((16, 9))]
+        results = encode_stream(model, encoding._split_batches(feats, 4))
+        codes = encoding._stream_codes(results)
+        assert codes.shape == (16, 9)
+        for start, result in zip((0, 4, 8), results):
+            np.testing.assert_array_equal(codes[:, start : start + 4], result.codes)
+
+    def test_a_failed_batch_raises_chained_to_its_error(self, trained_standard):
+        model, _ = trained_standard
+        rng = np.random.default_rng(8)
+        feats = [rng.standard_normal((32, 9)), rng.standard_normal((16, 9))]
+        feats[1][0, 5] = np.nan  # in the second batch of 4
+        results = encode_stream(model, encoding._split_batches(feats, 4))
+        with pytest.raises(FusehashError, match="batch 1 failed: modality 1") as info:
+            encoding._stream_codes(results)
+        assert info.value.__cause__ is results[1].error
+        assert isinstance(info.value.__cause__, NumericalError)
 
 
 class TestEncodeAdaptive:
@@ -265,6 +336,16 @@ class TestEncodeAdaptive:
         batch = QueryBatch(features=[np.zeros((32, 3)), np.zeros((16, 4))])
         with pytest.raises(ShapeError):
             encode_adaptive(model, batch)
+
+    @pytest.mark.parametrize("encode", [encode_adaptive, encode_fixed])
+    def test_a_ragged_batch_fails_before_any_map(self, trained_standard, monkeypatch, encode):
+        model, _ = trained_standard
+        mapped = []
+        monkeypatch.setattr(encoding, "apply_kernel", lambda *args: mapped.append(args))
+        batch = QueryBatch(features=[np.zeros((32, 3)), np.zeros((16, 4))])
+        with pytest.raises(ShapeError, match=r"disagree on sample count: \[3, 4\]"):
+            encode(model, batch)
+        assert mapped == []
 
 
 class TestEncodeFixed:
@@ -445,3 +526,22 @@ class TestNonFiniteInput:
         assert isinstance(results[1], FailedBatch)
         assert isinstance(results[1].error, NumericalError)
         assert isinstance(results[0], EncodeResult) and isinstance(results[2], EncodeResult)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_far_queries_encode_and_overflowing_ones_fail(self, trained_standard):
+        """Queries at 1e20 are far from every anchor: their modality maps to
+        exactly 0 and the batch encodes. At 1e38 the float32 map overflows
+        into NaN: the batch fails instead of coming back with NaN weights."""
+        model, _ = trained_standard
+        rng = np.random.default_rng(21)
+        far, overflowing = (
+            QueryBatch(features=[rng.standard_normal((32, 5)) * scale, rng.standard_normal((16, 5))])
+            for scale in (1e20, 1e38)
+        )
+        assert not apply_kernel(far.features[0], model.anchor_sets[0]).any()
+        results = encode_stream(model, [far, overflowing])
+        assert isinstance(results[0], EncodeResult)
+        assert np.isfinite(results[0].dynamic_weights).all()
+        assert isinstance(results[1], FailedBatch)
+        assert isinstance(results[1].error, NumericalError)
+        assert "modality 0 kernel features" in str(results[1].error)

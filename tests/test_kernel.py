@@ -356,6 +356,47 @@ SMALL_BLOCK = 8
 # product, and round a column differently in the last bit.
 
 
+class TestFloat32Range:
+    """Features beyond float32's range around the anchors: far ones map to
+    exactly 0, and ones whose map overflows into a NaN raise."""
+
+    def anchor_set(self):
+        rng = np.random.default_rng(19)
+        return AnchorSet(anchors=rng.standard_normal((8, 6)), kernel_width=2.0, modality_index=1)
+
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_far_features_map_to_zero(self, projected):
+        feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e20
+        projection = np.ones((3, 6)) if projected else None
+        assert not apply_kernel(feats, self.anchor_set(), projection).any()
+
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_an_overflowing_map_names_the_modality(self, projected):
+        feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e38
+        projection = np.ones((3, 6)) if projected else None
+        with pytest.raises(NumericalError, match="modality 1 kernel features"):
+            apply_kernel(feats, self.anchor_set(), projection)
+
+
+class TestSampleCount:
+    def test_skips_missing_modalities(self):
+        assert kernel._sample_count([None, np.zeros((2, 5)), np.zeros((3, 5))]) == 5
+
+    @pytest.mark.parametrize("mats", [[], [None, None]], ids=["none", "all-missing"])
+    def test_nothing_present_counts_zero(self, mats):
+        assert kernel._sample_count(mats) == 0
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ShapeError, match=r"modality 1 is not a matrix: shape \(5,\)"):
+            kernel._sample_count([np.zeros((2, 5)), np.zeros(5)])
+
+    def test_rejects_counts_that_disagree(self):
+        with pytest.raises(ShapeError, match=r"modalities disagree on sample count: \[5, 6\]"):
+            kernel._sample_count([np.zeros((2, 6)), None, np.zeros((3, 5))])
+
+
 def projected_case(rng, dim, num_anchors, code_length, num_samples):
     anchor_set = select_anchors(rng.standard_normal((dim, num_anchors)), num_anchors, seed=0)
     feats = 3.0 * rng.standard_normal((dim, num_samples))

@@ -345,3 +345,140 @@ class TestBundleDirectories:
         path.write_text("0 x\n")
         with pytest.raises(CorruptFileError):
             load_labels(path)
+
+
+def framed(kind, payload, version=storage.FORMAT_VERSION):
+    """An AMFH file around ``payload`` with a valid CRC-32."""
+    body = storage.MAGIC + storage._HEADER.pack(kind, version) + payload
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+class TestFrameRejections:
+    """Each check of the frame and of the payload's declared sizes, on a file
+    whose CRC is valid, so the check itself is what rejects it."""
+
+    def test_too_short(self, tmp_path):
+        path = tmp_path / "short.amfh"
+        path.write_bytes(storage.MAGIC + b"\x02")
+        with pytest.raises(CorruptFileError, match="too short"):
+            load_codes(path)
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "magic.amfh"
+        path.write_bytes(b"AMFX" + framed(storage.KIND_CODES, b"")[4:])
+        with pytest.raises(CorruptFileError, match="bad magic"):
+            load_codes(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "version.amfh"
+        path.write_bytes(framed(storage.KIND_FEATURES, struct.pack("<QQ", 0, 0), version=2))
+        with pytest.raises(CorruptFileError, match="unsupported format version 2"):
+            load_features(path)
+
+    @pytest.mark.parametrize(
+        "shape, values, message",
+        [((3, 4), 1, "shorter"), ((1, 1), 2, "longer")],
+        ids=["shorter", "longer"],
+    )
+    def test_payload_size_differs_from_its_header(self, tmp_path, shape, values, message):
+        path = tmp_path / "feats.amfh"
+        payload = struct.pack("<QQ", *shape) + np.ones(values).tobytes()
+        path.write_bytes(framed(storage.KIND_FEATURES, payload))
+        with pytest.raises(CorruptFileError, match=f"payload {message} than"):
+            load_features(path)
+
+    def test_non_positive_code_length(self, tmp_path):
+        path = tmp_path / "codes.amfh"
+        path.write_bytes(framed(storage.KIND_CODES, struct.pack("<QQ", 0, 0)))
+        with pytest.raises(CorruptFileError, match="non-positive code length"):
+            load_codes(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (8, 0)], ids=["no-bits", "no-categories"])
+    def test_non_positive_center_dimensions(self, tmp_path, dims):
+        path = tmp_path / "centers.amfh"
+        path.write_bytes(framed(storage.KIND_CENTERS, struct.pack("<QQQQB", *dims, 0, 8, 1)))
+        with pytest.raises(CorruptFileError, match="non-positive center dimensions"):
+            load_centers(path)
+
+    @pytest.mark.parametrize(
+        "dims", [(0, 4, 3), (1, 0, 3), (1, 4, 0)], ids=["modalities", "bits", "anchors"]
+    )
+    def test_non_positive_model_dimensions(self, tmp_path, dims):
+        path = tmp_path / "model.amfh"
+        path.write_bytes(framed(storage.KIND_MODEL, struct.pack("<QQQd", *dims, 1e-3)))
+        with pytest.raises(CorruptFileError, match="non-positive model dimensions"):
+            load_model(path)
+
+    def test_non_positive_anchor_dimensionality(self, tmp_path):
+        path = tmp_path / "model.amfh"
+        payload = struct.pack("<QQQd", 1, 4, 3, 1e-3) + np.ones(1).tobytes()
+        path.write_bytes(framed(storage.KIND_MODEL, payload + struct.pack("<QdQ", 0, 1.5, 0)))
+        with pytest.raises(CorruptFileError, match="non-positive anchor dimensionality"):
+            load_model(path)
+
+
+class TestStoreModelShapes:
+    def model(self, projections, anchors):
+        return TrainedModel(
+            projections=projections,
+            anchor_sets=[AnchorSet(a, 1.5) for a in anchors],
+            train_weights=np.full(len(projections), 1.0 / max(len(projections), 1)),
+            delta=1e-3,
+            code_length=4,
+        )
+
+    def test_no_modalities(self, tmp_path):
+        with pytest.raises(ShapeError, match="no modalities"):
+            store_model(self.model([], []), tmp_path / "model.amfh")
+        assert not (tmp_path / "model.amfh").exists()
+
+    def test_projections_of_different_shapes(self, tmp_path):
+        model = self.model([np.ones((4, 3)), np.ones((4, 5))], [np.ones((2, 3)), np.ones((2, 5))])
+        with pytest.raises(ShapeError, match=r"projection shape \(4, 5\) differs from \(4, 3\)"):
+            store_model(model, tmp_path / "model.amfh")
+        assert not (tmp_path / "model.amfh").exists()
+
+    def test_anchor_count_differs_from_the_projections(self, tmp_path):
+        model = self.model([np.ones((4, 3))], [np.ones((2, 5))])
+        with pytest.raises(ShapeError, match="anchor set 0 holds 5 anchors, expected 3"):
+            store_model(model, tmp_path / "model.amfh")
+        assert not (tmp_path / "model.amfh").exists()
+
+
+class TestBundleRejections:
+    @pytest.fixture
+    def bundle_dir(self, tmp_path):
+        store_bundle(generate_synthetic(small_spec()), tmp_path / "bundle")
+        return tmp_path / "bundle"
+
+    def test_non_integer_manifest_value(self, bundle_dir):
+        (bundle_dir / "manifest.txt").write_text("num_modalities=two\nnum_samples=80\n")
+        with pytest.raises(CorruptFileError, match="non-integer manifest value"):
+            load_bundle(bundle_dir)
+
+    def test_manifest_misses_a_key(self, bundle_dir):
+        (bundle_dir / "manifest.txt").write_text("# comment\n\nnum_modalities=2\n")
+        with pytest.raises(CorruptFileError, match="misses key 'num_samples'"):
+            load_bundle(bundle_dir)
+
+    def test_malformed_split_index(self, bundle_dir):
+        (bundle_dir / "split.query.txt").write_text("0\n1.5\n")
+        with pytest.raises(CorruptFileError, match="malformed split index"):
+            load_bundle(bundle_dir)
+
+    @pytest.mark.parametrize("index", [-1, 80, 999, 2**70], ids=["-1", "80", "999", "2**70"])
+    def test_split_index_outside_the_samples(self, bundle_dir, index):
+        """-1 would select the last sample and 999 would fail on indexing:
+        every index must lie in [0, num_samples)."""
+        (bundle_dir / "split.query.txt").write_text(f"0\n{index}\n3\n")
+        with pytest.raises(CorruptFileError, match="split.query.txt"):
+            load_bundle(bundle_dir)
+
+    def test_split_index_at_either_end_loads(self, bundle_dir):
+        (bundle_dir / "split.query.txt").write_text("0\n79\n")
+        np.testing.assert_array_equal(load_bundle(bundle_dir).query_indices, [0, 79])
+
+    def test_modality_sample_count_differs_from_the_labels(self, bundle_dir):
+        store_features(np.ones((3, 79)), bundle_dir / "mod1.amfh")
+        with pytest.raises(CorruptFileError, match="mod1.amfh holds 79 samples, expected 80"):
+            load_bundle(bundle_dir)

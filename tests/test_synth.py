@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fusehash import DatasetBundle, SynthSpec, generate_synthetic, make_noisy_stream
-from fusehash.exceptions import InvalidParameterError
+from fusehash.exceptions import InvalidParameterError, ShapeError
 
 
 def small_spec(**overrides):
@@ -200,3 +200,41 @@ class TestMakeNoisyStream:
             make_noisy_stream(feats, batch_size=5, noise_scale=-1.0)
         with pytest.raises(InvalidParameterError):
             make_noisy_stream([], batch_size=5, noise_scale=1.0)
+
+    def test_rejects_modalities_of_different_sample_counts(self):
+        """Batches of 4, 4 and 2 columns would drop modality 1's last 4."""
+        rng = np.random.default_rng(8)
+        with pytest.raises(ShapeError, match=r"disagree on sample count: \[10, 14\]"):
+            make_noisy_stream(
+                [rng.standard_normal((3, 10)), rng.standard_normal((2, 14))],
+                batch_size=4,
+                noise_scale=1.0,
+            )
+
+    def test_rejects_a_missing_modality(self):
+        feats = self.make_features(10)
+        with pytest.raises(InvalidParameterError):
+            make_noisy_stream([feats[0], None], batch_size=5, noise_scale=1.0)
+        with pytest.raises(InvalidParameterError):
+            make_noisy_stream([None, feats[1]], batch_size=5, noise_scale=1.0)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 25, 40])
+    def test_equals_the_column_loop(self, batch_size):
+        """Byte-equal to slicing, copying and corrupting each batch in turn,
+        with the noise drawn in the same order; every batch array is its own
+        C-contiguous copy."""
+        feats = self.make_features(25)
+        batches, corrupted = make_noisy_stream(feats, batch_size, noise_scale=1.5, seed=6)
+        rng = np.random.default_rng(6)
+        scales = [max(float(mat.std()), 1e-12) for mat in feats]
+        starts = range(0, 25, batch_size)
+        assert corrupted == [b % 2 for b in range(len(starts))]
+        assert len(batches) == len(starts)
+        for batch, start, target in zip(batches, starts, corrupted):
+            for m, got in enumerate(batch.features):
+                want = feats[m][:, start : start + batch_size].copy()
+                if m == target:
+                    want += 1.5 * scales[m] * rng.standard_normal(want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape
+                assert got.flags.c_contiguous and got.flags.owndata

@@ -343,6 +343,29 @@ class TestFit:
         with pytest.raises(NumericalError, match=f"modality {modality}"):
             fit(feats, labels, build_center_table(8, 2, seed=0))
 
+    @pytest.mark.parametrize("spread", [1e19, 1e20])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_features_beyond_the_float32_map_raise(self, spread):
+        """The float32 map of such features overflows into NaN; fit names the
+        modality instead of returning NaN projections and weights."""
+        rng = np.random.default_rng(0)
+        feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * spread]
+        labels = [{i % 4} for i in range(200)]
+        with pytest.raises(NumericalError, match="modality 1 kernel features"):
+            fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_features_at_1e17_still_train(self):
+        rng = np.random.default_rng(0)
+        feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * 1e17]
+        labels = [{i % 4} for i in range(200)]
+        model = fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
+        assert model.converged
+        assert np.isfinite(model.train_weights).all()
+        assert all(np.isfinite(proj).all() for proj in model.projections)
+        codes = fuse_encode_fixed(model, feats)
+        assert len({column.tobytes() for column in codes.T}) > 1
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         num_modalities=st.integers(1, 3),
@@ -601,7 +624,7 @@ class TestFuseEncodeFixed:
 
     def test_rejects_modalities_of_different_sample_counts(self):
         model = self.two_modality_model(np.random.default_rng(17))
-        with pytest.raises(ShapeError, match="disagree on batch size"):
+        with pytest.raises(ShapeError, match="disagree on sample count"):
             fuse_encode_fixed(model, [np.zeros((2, 5)), np.zeros((2, 6))])
 
     def test_rejects_zero_samples_like_every_encoder(self):
