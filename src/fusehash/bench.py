@@ -6,14 +6,16 @@ encode queries either fixed or adaptively, and score mAP.
 
 ``CHECKS`` is the acceptance checklist: twelve seeded checks, each with its
 own independent oracle. ``fusehash bench`` runs it through
-``run_benchmark`` and ``tests/test_acceptance.py`` runs it under pytest.
+``run_benchmark``, which returns one ``BenchCheck`` per check, and
+``tests/test_acceptance.py`` runs it under pytest. An ``AblationResult``
+reads its tracking fraction from its per-batch weights.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,10 +88,17 @@ class AblationResult:
 
     adaptive_map: float
     fixed_map: float
-    tracking_fraction: float  # batches where the noisy modality got the top weight
-    corrupted: list[int]
-    adaptive_weights: list[np.ndarray]
-    fixed_weights: list[np.ndarray]
+    corrupted: list[int]  # per batch, the modality carrying the noise
+    adaptive_weights: list[np.ndarray]  # per batch
+
+    @property
+    def tracking_fraction(self) -> float:
+        """Share of batches whose noisy modality got the top adaptive weight."""
+        tracked = sum(
+            int(np.argmax(weights)) == noisy
+            for weights, noisy in zip(self.adaptive_weights, self.corrupted)
+        )
+        return tracked / len(self.corrupted)
 
 
 def run_ablation(
@@ -121,18 +130,11 @@ def run_ablation(
     fixed_map = mean_average_precision(
         _stream_codes(fixed), query_labels, db_codes, db_labels, cutoff
     ).map
-    tracked = sum(
-        1
-        for result, noisy in zip(adaptive, corrupted)
-        if int(np.argmax(result.dynamic_weights)) == noisy
-    )
     return AblationResult(
         adaptive_map=adaptive_map,
         fixed_map=fixed_map,
-        tracking_fraction=tracked / len(batches),
         corrupted=corrupted,
         adaptive_weights=[r.dynamic_weights for r in adaptive],
-        fixed_weights=[r.dynamic_weights for r in fixed],
     )
 
 
@@ -170,15 +172,6 @@ class BenchCheck:
     passed: bool
     detail: str
     seconds: float
-
-
-@dataclass
-class BenchReport:
-    checks: list[BenchCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
 
 
 def _expect(ok, message: str) -> None:
@@ -424,7 +417,6 @@ def c09_encoding_reaches_joint_fixed_point(seed: int) -> str:
             ],
             train_weights=weights / weights.sum(),
             delta=1e-3,
-            code_length=code_length,
         )
         batch = QueryBatch(
             features=[rng.standard_normal((dims[m], batch_size)) for m in range(2)]
@@ -561,16 +553,17 @@ def _check(entry: AcceptanceCheck, seed: int) -> BenchCheck:
     return BenchCheck(entry.name, passed, detail, seconds)
 
 
-def run_benchmark(seed: int = 0) -> BenchReport:
+def run_benchmark(seed: int = 0) -> list[BenchCheck]:
     """Run every check of ``CHECKS`` at ``seed``; one result per check."""
-    return BenchReport([_check(entry, seed) for entry in CHECKS])
+    return [_check(entry, seed) for entry in CHECKS]
 
 
-def format_benchmark(report: BenchReport) -> str:
+def format_benchmark(checks: list[BenchCheck]) -> str:
     lines = []
-    for check in report.checks:
+    for check in checks:
         status = "PASS" if check.passed else "FAIL"
         lines.append(f"[{status}] {check.name} ({check.seconds:.2f}s): {check.detail}")
-    summary = "all checks passed" if report.passed else "FAILURES PRESENT"
-    lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} passed; {summary}")
+    passed = sum(check.passed for check in checks)
+    summary = "all checks passed" if passed == len(checks) else "FAILURES PRESENT"
+    lines.append(f"{passed}/{len(checks)} passed; {summary}")
     return "\n".join(lines)

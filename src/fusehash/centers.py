@@ -9,6 +9,8 @@ sits at Hamming distance exactly r/2. Otherwise they are re-dimensioned by
 a seeded Gaussian sign projection. Both kinds of table are audited, from
 per-bit counts and one Gram of the centers, against their average-distance
 bound; re-dimensioned tables draw fresh projections until they pass.
+A table stores only its columns and seed, and an audit its figures: every
+other value, the verdict included, is a read-only property of those.
 """
 
 from __future__ import annotations
@@ -33,15 +35,30 @@ class HashCenterTable:
     """One {-1, +1} center column per category.
 
     ``seed`` records the Gaussian draw used by the re-dimensioning step; it
-    is kept even for exact tables where no randomness was consumed.
+    is kept even for exact tables where no randomness was consumed. The
+    code length r, the category count C, the Hadamard order
+    ``required_order(r, C)`` and ``is_exact`` (no LSH step: r is that
+    order) are read from the columns, so they cannot disagree with them.
     """
 
-    code_length: int
-    num_categories: int
-    centers: np.ndarray  # (code_length, num_categories) int8 over {-1, +1}
+    centers: np.ndarray  # (r, C) int8 over {-1, +1}
     seed: int
-    hadamard_order: int  # the power-of-two order the table was built from
-    is_exact: bool       # True when code_length == hadamard_order (no LSH step)
+
+    @property
+    def code_length(self) -> int:
+        return self.centers.shape[0]
+
+    @property
+    def num_categories(self) -> int:
+        return self.centers.shape[1]
+
+    @property
+    def hadamard_order(self) -> int:
+        return required_order(self.code_length, self.num_categories)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.code_length == self.hadamard_order
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,10 @@ class CenterAudit:
     average_distance: float
     min_distance: int
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.average_distance >= self.threshold
 
 
 def sylvester_hadamard(order: int) -> np.ndarray:
@@ -123,16 +143,10 @@ def audit_centers(table: HashCenterTable) -> CenterAudit:
     average = int((ones * (count - ones)).sum()) / (count * (count - 1) // 2)
     gram = cols.T @ cols
     np.fill_diagonal(gram, -r)  # a center's product with itself is no pair
-    threshold = (
-        table.code_length / 2.0
-        if table.is_exact
-        else LSH_DISTANCE_FACTOR * table.code_length
-    )
     return CenterAudit(
         average_distance=average,
         min_distance=(r - int(gram.max())) // 2,
-        threshold=threshold,
-        passed=average >= threshold,
+        threshold=r / 2.0 if table.is_exact else LSH_DISTANCE_FACTOR * r,
     )
 
 
@@ -162,12 +176,8 @@ def build_center_table(
     for attempt in range(1 if exact else MAX_LSH_RETRIES):
         attempt_seed = seed + attempt
         table = HashCenterTable(
-            code_length=code_length,
-            num_categories=num_categories,
             centers=columns if exact else lsh_reduce(columns, code_length, attempt_seed),
             seed=attempt_seed,
-            hadamard_order=order,
-            is_exact=exact,
         )
         audit = audit_centers(table)
         if audit.passed:
@@ -183,8 +193,11 @@ def build_center_table(
 def count_classes(labels) -> int:
     """Categories that the label sets span: the largest label id plus one.
 
-    Raises :class:`LabelError` when no sample carries a label.
+    Raises :class:`LabelError` when no sample carries a label, or when a
+    label is negative, the rule of ``mean_average_precision``.
     """
+    if any(label < 0 for s in labels for label in s):
+        raise LabelError("labels must be non-negative integers")
     largest = max((max(s) for s in labels if s), default=None)
     if largest is None:
         raise LabelError("no sample carries a label")

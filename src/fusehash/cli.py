@@ -268,9 +268,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = run_benchmark(seed=args.seed)
-    print(format_benchmark(report))
-    return 0 if report.passed else 1
+    checks = run_benchmark(seed=args.seed)
+    print(format_benchmark(checks))
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def cmd_sweep_delta(args) -> int:

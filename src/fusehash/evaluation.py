@@ -18,7 +18,8 @@ results still carry int64 distances. mAP tests relevance on one
 Evaluation memory is O(RANK_BLOCK * n_db + n * ceil(L/64)), not
 O(n_q * n_db). Code matrices returned by ``load_codes`` carry their packed
 bytes, which the kernel uses as they are instead of validating and packing
-again.
+again. An ``EvalReport`` stores the per-query APs and the cutoff; its mAP
+and query count are read from the APs.
 """
 
 from __future__ import annotations
@@ -45,10 +46,16 @@ class RankedRetrieval:
 
 @dataclass
 class EvalReport:
-    map: float
-    per_query_ap: np.ndarray
+    per_query_ap: np.ndarray  # (n_q,); map and num_queries are read from it
     cutoff: int
-    num_queries: int
+
+    @property
+    def map(self) -> float:
+        return float(self.per_query_ap.mean())
+
+    @property
+    def num_queries(self) -> int:
+        return self.per_query_ap.shape[0]
 
 
 def hamming_rank(query, database) -> RankedRetrieval:
@@ -189,12 +196,7 @@ def mean_average_precision(
             relevant |= np.bitwise_and.outer(q_word, db_word) != 0
         for i, (row, row_order) in enumerate(zip(relevant, order), start):
             per_query[i] = average_precision(row[row_order], cutoff)
-    return EvalReport(
-        map=float(per_query.mean()),
-        per_query_ap=per_query,
-        cutoff=cutoff,
-        num_queries=num_queries,
-    )
+    return EvalReport(per_query_ap=per_query, cutoff=cutoff)
 
 
 def format_report(report: EvalReport) -> str:

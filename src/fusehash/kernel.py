@@ -234,14 +234,17 @@ def _map_block(feats: np.ndarray, anchor_set: AnchorSet, out: np.ndarray) -> Non
 
     Features are centred on the anchor mean in float64 and rounded once to
     float32; the product, the norms, the clamp, the scale and the exp run in
-    float32, and the exp widens its result into ``out``.
+    float32, and the exp widens its result into ``out``. Far features
+    overflow to inf, which maps to 0, or to NaN, which callers raise on: so
+    those steps, and not the caller's code, run without numpy's warnings.
     """
-    centred = np.empty(feats.shape, dtype=np.float32)
-    np.subtract(feats, anchor_set.anchor_mean, out=centred)
-    feat_norms = (centred * centred).sum(axis=0)
-    sq = anchor_set.scaled_anchors @ centred
-    sq += anchor_set.squared_norms
-    sq += feat_norms
-    np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
-    sq /= -(2.0 * anchor_set.kernel_width**2)
-    np.exp(sq, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = np.empty(feats.shape, dtype=np.float32)
+        np.subtract(feats, anchor_set.anchor_mean, out=centred)
+        feat_norms = (centred * centred).sum(axis=0)
+        sq = anchor_set.scaled_anchors @ centred
+        sq += anchor_set.squared_norms
+        sq += feat_norms
+        np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
+        sq /= -(2.0 * anchor_set.kernel_width**2)
+        np.exp(sq, out=out)

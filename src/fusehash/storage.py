@@ -46,14 +46,15 @@ class _Cursor:
     copied once, out of the file's bytes.
     """
 
-    def __init__(self, buf: memoryview):
+    def __init__(self, buf: memoryview, path):
         self.buf = buf
+        self.path = path  # named by every error
         self.pos = 0
 
     def take(self, count: int) -> memoryview:
         end = self.pos + count
         if count < 0 or end > len(self.buf):
-            raise CorruptFileError("payload shorter than its declared contents")
+            raise CorruptFileError(f"{self.path}: payload shorter than its declared contents")
         chunk = self.buf[self.pos : end]
         self.pos = end
         return chunk
@@ -72,7 +73,7 @@ class _Cursor:
 
     def done(self) -> None:
         if self.pos != len(self.buf):
-            raise CorruptFileError("payload longer than its declared contents")
+            raise CorruptFileError(f"{self.path}: payload longer than its declared contents")
 
 
 def _write_file(path, kind: int, *parts) -> None:
@@ -118,8 +119,9 @@ def _checked_payload(blob: bytes, kind: int, path) -> memoryview:
     return view[head : -_CRC.size]
 
 
-def _read_file(path, kind: int) -> memoryview:
-    return _checked_payload(Path(path).read_bytes(), kind, path)
+def _read_file(path, kind: int) -> _Cursor:
+    """A cursor over the payload of the verified file at ``path``."""
+    return _Cursor(_checked_payload(Path(path).read_bytes(), kind, path), path)
 
 
 def store_features(matrix, path) -> None:
@@ -144,7 +146,7 @@ def load_features(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
         return _load_csv(path)
-    cur = _Cursor(_checked_payload(blob, KIND_FEATURES, path))
+    cur = _Cursor(_checked_payload(blob, KIND_FEATURES, path), path)
     rows = cur.u64()
     cols = cur.u64()
     data = cur.f64_array(rows * cols)
@@ -159,7 +161,7 @@ def store_codes(codes, path) -> None:
     _write_file(path, KIND_CODES, header, np.ascontiguousarray(packed.T))
 
 
-def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndarray:
+def _packed_columns(cur: _Cursor, code_length: int, count: int) -> np.ndarray:
     """Read ``count`` packed codes into an item-major ``(ceil(r/8), count)`` uint8 matrix.
 
     Packed distances are exact only if padding bits are zero, so a set
@@ -170,7 +172,7 @@ def _packed_columns(cur: _Cursor, code_length: int, count: int, path) -> np.ndar
     cur.done()
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(count, bytes_per_code).copy().T
     if code_length % 8 and np.any(packed[-1] >> (code_length % 8)):
-        raise CorruptFileError(f"{path}: nonzero padding bits after code bit {code_length}")
+        raise CorruptFileError(f"{cur.path}: nonzero padding bits after code bit {code_length}")
     return packed
 
 
@@ -181,45 +183,41 @@ def load_codes(path) -> CodeMatrix:
     ranking or storing costs nothing; arrays derived from it do not carry
     them. A file with a nonzero padding bit raises ``CorruptFileError``.
     """
-    cur = _Cursor(_read_file(path, KIND_CODES))
+    cur = _read_file(path, KIND_CODES)
     code_length = cur.u64()
     count = cur.u64()
     if code_length < 1:
         raise CorruptFileError(f"{path}: non-positive code length")
-    return _code_matrix(_packed_columns(cur, code_length, count, path), code_length)
+    return _code_matrix(_packed_columns(cur, code_length, count), code_length)
 
 
 def store_centers(table: HashCenterTable, path) -> None:
     """Write a hash-center table as a kind-4 AMFH file."""
     header = struct.pack(
-        "<QQQQB",
-        table.code_length,
-        table.num_categories,
-        table.seed,
-        table.hadamard_order,
-        1 if table.is_exact else 0,
+        "<QQQQB", *table.centers.shape, table.seed, table.hadamard_order, table.is_exact
     )
     _write_file(path, KIND_CENTERS, header, np.ascontiguousarray(pack_codes(table.centers).T))
 
 
 def load_centers(path) -> HashCenterTable:
-    cur = _Cursor(_read_file(path, KIND_CENTERS))
+    """Read a kind-4 AMFH file. The header's Hadamard order and exactness
+    flag must be the ones the columns' shape gives, or the file is corrupt."""
+    cur = _read_file(path, KIND_CENTERS)
     code_length = cur.u64()
     num_categories = cur.u64()
     seed = cur.u64()
-    hadamard_order = cur.u64()
-    is_exact = cur.u8()
+    declared = (cur.u64(), cur.u8())  # the Hadamard order and the exact flag
     if code_length < 1 or num_categories < 1:
         raise CorruptFileError(f"{path}: non-positive center dimensions")
-    packed = _packed_columns(cur, code_length, num_categories, path)
-    return HashCenterTable(
-        code_length=code_length,
-        num_categories=num_categories,
-        centers=unpack_codes(packed, code_length),
-        seed=seed,
-        hadamard_order=hadamard_order,
-        is_exact=bool(is_exact),
-    )
+    packed = _packed_columns(cur, code_length, num_categories)
+    table = HashCenterTable(centers=unpack_codes(packed, code_length), seed=seed)
+    derived = (table.hadamard_order, int(table.is_exact))
+    if declared != derived:
+        raise CorruptFileError(
+            f"{path}: header gives Hadamard order and exact flag {declared}, "
+            f"but {code_length} x {num_categories} centers give {derived}"
+        )
+    return table
 
 
 def store_model(model: TrainedModel, path) -> None:
@@ -259,7 +257,7 @@ def store_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    cur = _Cursor(_read_file(path, KIND_MODEL))
+    cur = _read_file(path, KIND_MODEL)
     num_modalities = cur.u64()
     code_length = cur.u64()
     num_anchors = cur.u64()
@@ -294,7 +292,6 @@ def load_model(path) -> TrainedModel:
         anchor_sets=anchor_sets,
         train_weights=weights,
         delta=delta,
-        code_length=code_length,
         objective_trace=[],
         converged=True,
     )

@@ -69,13 +69,13 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """Frozen output of :func:`fit`; treat as immutable after training."""
+    """Frozen output of :func:`fit`; treat as immutable after training.
+    Its code length and modality count are read from the projections."""
 
     projections: list[np.ndarray]  # per modality, (r, p)
     anchor_sets: list[AnchorSet]
     train_weights: np.ndarray  # (M,), positive, sums to 1
     delta: float
-    code_length: int
     objective_trace: list[float] = field(default_factory=list)
     converged: bool = True
 
@@ -90,6 +90,10 @@ class TrainedModel:
     @property
     def num_modalities(self) -> int:
         return len(self.projections)
+
+    @property
+    def code_length(self) -> int:
+        return self.projections[0].shape[0]
 
 
 def objective(projections, weights, kernel_features, targets, delta) -> float:
@@ -286,7 +290,6 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         anchor_sets=anchor_sets,
         train_weights=weights,
         delta=config.delta,
-        code_length=centers.code_length,
         objective_trace=trace,
         converged=converged,
     )

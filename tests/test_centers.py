@@ -20,6 +20,7 @@ from fusehash.centers import (
     MAX_LSH_RETRIES,
     CenterAudit,
     HashCenterTable,
+    count_classes,
 )
 from fusehash.exceptions import CenterSeparationError, InvalidParameterError, LabelError
 
@@ -41,7 +42,7 @@ def reference_audit(centers, code_length, is_exact):
     pairs = dist[np.triu_indices(dist.shape[0], k=1)]
     threshold = code_length / 2.0 if is_exact else LSH_DISTANCE_FACTOR * code_length
     average = float(pairs.mean())
-    return CenterAudit(average, int(pairs.min()), threshold, average >= threshold)
+    return CenterAudit(average, int(pairs.min()), threshold)
 
 
 def reference_table(code_length, num_categories, seed):
@@ -57,9 +58,7 @@ def reference_table(code_length, num_categories, seed):
         )
         audit = reference_audit(centers, code_length, exact)
         if audit.passed:
-            return HashCenterTable(
-                code_length, num_categories, centers, attempt_seed, order, exact
-            ), audit
+            return HashCenterTable(centers, attempt_seed), audit
     raise AssertionError("reference table failed every attempt")
 
 
@@ -145,6 +144,10 @@ class TestLshReduce:
     def test_rejects_non_positive_length(self):
         with pytest.raises(InvalidParameterError):
             lsh_reduce(sylvester_hadamard(8), 0, seed=0)
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(InvalidParameterError, match="expected a 2-d matrix"):
+            lsh_reduce(np.ones(8), 4, seed=0)
 
 
 class TestBuildCenterTable:
@@ -234,17 +237,53 @@ class TestAuditCenters:
     def test_failing_table_reports_distance(self):
         """A degenerate table with duplicated columns fails its audit."""
         centers = np.ones((8, 3), dtype=np.int8)
-        table = HashCenterTable(
-            code_length=8,
-            num_categories=3,
-            centers=centers,
-            seed=0,
-            hadamard_order=8,
-            is_exact=False,
-        )
+        table = HashCenterTable(centers=centers, seed=0)
         audit = audit_centers(table)
         assert audit.average_distance == 0.0
         assert not audit.passed
+
+    def test_needs_two_centers(self):
+        table = HashCenterTable(centers=np.ones((8, 1), dtype=np.int8), seed=0)
+        with pytest.raises(InvalidParameterError, match="at least 2 centers"):
+            audit_centers(table)
+
+    def test_verdict_follows_distance_and_threshold(self):
+        assert CenterAudit(4.0, 4, 4.0).passed
+        assert not CenterAudit(3.5, 2, 4.0).passed
+
+
+class TestDerivedTableValues:
+    """A table stores its columns and seed; the rest is read from the columns."""
+
+    def test_exact_columns_give_their_order(self):
+        columns = build_center_table(8, 3, seed=0).centers
+        table = HashCenterTable(centers=columns, seed=0)
+        assert (table.code_length, table.num_categories) == (8, 3)
+        assert (table.hadamard_order, table.is_exact) == (8, True)
+        # audited against r/2, not the re-dimensioned 0.45 r
+        assert audit_centers(table).threshold == 4.0
+
+    def test_redimensioned_columns_give_the_covering_order(self):
+        table = build_center_table(48, 20, seed=1)
+        assert (table.code_length, table.num_categories) == (48, 20)
+        assert (table.hadamard_order, table.is_exact) == (64, False)
+        assert audit_centers(table).threshold == pytest.approx(LSH_DISTANCE_FACTOR * 48)
+
+    def test_only_columns_and_seed_are_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(HashCenterTable)] == ["centers", "seed"]
+
+
+class TestCountClasses:
+    def test_largest_label_plus_one(self):
+        assert count_classes([{0}, set(), {2, 5}]) == 6
+
+    @pytest.mark.parametrize("labels", [[{0}, {-3}], [{-1}, {-2}]], ids=["one", "all"])
+    def test_rejects_negative_labels(self, labels):
+        """Before this rule [{0}, {-3}] counted 1 class and [{-1}, {-2}] 0."""
+        with pytest.raises(LabelError, match="labels must be non-negative integers"):
+            count_classes(labels)
 
 
 class TestAssignTargetCodes:

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, config files, error lines."""
 
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,21 @@ def run(argv, capsys):
 
 def parse_kv_line(line):
     return dict(pair.split("=", 1) for pair in line.split())
+
+
+def run_fresh(argv, cwd):
+    """``fusehash`` in a fresh interpreter, with no test warning filters, so
+    whatever it writes on stderr is captured as a user would see it."""
+    package_root = str(Path(cli.__file__).parents[1])  # the fusehash under test
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fusehash.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +90,24 @@ class TestSynth:
         for name in ("manifest.txt", "mod0.amfh", "mod1.amfh", "labels.txt",
                      "split.train.txt", "split.query.txt", "split.retrieval.txt"):
             assert (out / name).is_file()
+
+
+class TestListOptions:
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--dims", "8,x", "expected comma-separated integers, got '8,x'"),
+            ("--spread", "0.3,y", "expected comma-separated numbers, got '0.3,y'"),
+        ],
+    )
+    def test_malformed_list_is_one_error_line(self, tmp_path, capsys, option, value, message):
+        code, stdout, stderr = run(
+            ["synth", option, value, "--out", str(tmp_path / "bundle")], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: InvalidParameterError: {message}\n"
+        assert not (tmp_path / "bundle").exists()
 
 
 class TestCenters:
@@ -137,6 +172,25 @@ class TestTrain:
         ], capsys)
         assert code == 1
         assert stderr.startswith("error:")
+
+    def test_negative_label_is_a_label_error(self, tmp_path, capsys):
+        """Not "need at least 2 categories", which counting from the largest
+        id would report for labels 0 and -1."""
+        from fusehash import store_features
+
+        features = tmp_path / "f0.amfh"
+        store_features(np.random.default_rng(6).standard_normal((4, 6)), features)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n0\n-1\n0\n-1\n0\n")
+        out = tmp_path / "model.amfh"
+        code, stdout, stderr = run([
+            "train", "--features", str(features), "--labels", str(labels),
+            "--bits", "8", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: LabelError: labels must be non-negative integers\n"
+        assert not out.exists()
 
 
 class TestEncode:
@@ -269,6 +323,54 @@ class TestEncode:
         assert f"split index {index} outside [0, 80)" in lines[0]
         assert not out.exists()
 
+    def test_split_all_encodes_every_sample(self, workspace, capsys, tmp_path):
+        out = tmp_path / "all.amfh"
+        code, stdout, _ = run([
+            "encode", "--model", str(workspace["model"]),
+            "--bundle", str(workspace["bundle"]), "--split", "all", "--out", str(out),
+        ], capsys)
+        assert code == 0
+        assert parse_kv_line(stdout.strip())["samples"] == "80"
+        assert load_codes(out).shape == (8, 80)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--missing", "2"], "InvalidParameterError: missing modality 2 out of range for 2"),
+            (["--missing", "-1"], "InvalidParameterError: missing modality -1 out of range for 2"),
+            ([], "InvalidParameterError: encode needs either --bundle or --features"),
+            (["--features", "-"], "ShapeError: model has 2 modalities, got 1 feature files"),
+        ],
+        ids=["missing-too-high", "missing-negative", "no-input", "feature-count"],
+    )
+    def test_input_errors_are_one_line(self, workspace, capsys, tmp_path, argv, message):
+        out = tmp_path / "codes.amfh"
+        code, stdout, stderr = run(
+            ["encode", "--model", str(workspace["model"]), *argv, "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_far_features_encode_without_stderr(self, workspace, tmp_path):
+        """Features at 1e20 map to 0 through float32 overflow, a documented
+        rule and not a fault, so the command succeeds silently."""
+        from fusehash import load_bundle, store_features
+
+        bundle = load_bundle(workspace["bundle"])
+        feats = bundle.features_at(bundle.query_indices)
+        paths = [tmp_path / "f0.amfh", tmp_path / "f1.amfh"]
+        store_features(feats[0] * 1e20, paths[0])
+        store_features(feats[1], paths[1])
+        result = run_fresh([
+            "encode", "--model", str(workspace["model"]),
+            "--features", *map(str, paths), "--out", "codes.amfh",
+        ], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert load_codes(tmp_path / "codes.amfh").shape == (8, 20)
+
     def test_all_missing_is_an_error(self, workspace, capsys, tmp_path):
         code, _, stderr = run([
             "encode", "--model", str(workspace["model"]),
@@ -296,6 +398,15 @@ class TestQuery:
             if values["rank"] == "1":
                 assert values["distance"] == "0"
 
+
+    def test_top_must_be_positive(self, workspace, capsys):
+        code, stdout, stderr = run([
+            "query", "--db", str(workspace["db_codes"]),
+            "--queries", str(workspace["query_codes"]), "--top", "0",
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: InvalidParameterError: --top must be positive, got 0\n"
 
     @pytest.mark.parametrize("top", [4, 15])
     def test_output_matches_per_query_ranking(self, tmp_path, capsys, top):
@@ -388,6 +499,22 @@ class TestEval:
         ], capsys)
         assert code == 0
         assert "mAP" in stdout
+
+    def test_a_short_codes_file_is_named(self, workspace, capsys, tmp_path):
+        """A codes file whose header declares more codes than it holds (its
+        checksum intact) is reported with its path, so eval says which of
+        its two code files is at fault."""
+        short = tmp_path / "short.amfh"
+        body = b"AMFH" + struct.pack("<BH", 2, 1) + struct.pack("<QQ", 8, 100) + bytes(10)
+        short.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        code, _, stderr = run([
+            "eval", "--queries", str(workspace["query_codes"]), "--db", str(short),
+            "--bundle", str(workspace["bundle"]),
+        ], capsys)
+        assert code == 1
+        assert stderr == (
+            f"error: CorruptFileError: {short}: payload shorter than its declared contents\n"
+        )
 
     def test_needs_labels_or_bundle(self, workspace, capsys):
         code, _, stderr = run([
@@ -482,6 +609,31 @@ class TestBenchAndStudies:
         code, _, stderr = run(argv, capsys)
         assert code == 1
         assert stderr.startswith("error: LabelError:")
+
+    def test_ablate_weight_trace_has_one_line_per_batch(self, workspace, capsys, tmp_path):
+        trace = tmp_path / "weights.txt"
+        code, stdout, _ = run([
+            "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",
+            "--seed", "3", "--weights-trace", str(trace),
+        ], capsys)
+        assert code == 0
+        batches = int(parse_kv_line(stdout.strip())["batches"])
+        lines = trace.read_text().splitlines()
+        assert len(lines) == batches == 2  # 20 queries in batches of 10
+        for index, line in enumerate(lines):
+            tokens = line.split()
+            assert tokens[0] == str(index)
+            assert sum(float(w) for w in tokens[1:]) == pytest.approx(1.0, abs=1e-9)
+            assert len(tokens) == 3
+
+    def test_tracking_fraction_counts_batches_led_by_their_noisy_modality(self):
+        result = bench.AblationResult(
+            adaptive_map=0.9,
+            fixed_map=0.8,
+            corrupted=[0, 1, 0],
+            adaptive_weights=[np.array([0.7, 0.3]), np.array([0.6, 0.4]), np.array([0.9, 0.1])],
+        )
+        assert result.tracking_fraction == 2 / 3
 
     def test_ablate_reports_both_modes(self, workspace, capsys):
         code, stdout, _ = run([

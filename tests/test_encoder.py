@@ -49,7 +49,6 @@ def toy_model(rng, code_length, dims, weights=None):
         anchor_sets=anchor_sets,
         train_weights=np.asarray(weights, dtype=np.float64),
         delta=1e-3,
-        code_length=code_length,
         objective_trace=[1.0],
         converged=True,
     )
@@ -202,7 +201,6 @@ class TestEncodeAdaptive:
             ],
             train_weights=np.array([0.5, 0.5]),
             delta=1e-3,
-            code_length=8,
             objective_trace=[1.0],
             converged=True,
         )
@@ -466,7 +464,6 @@ class TestBlockedEncoding:
             ],
             train_weights=np.array([0.4, 0.6]),
             delta=1e-3,
-            code_length=code_length,
         )
         feats = [rng.standard_normal((4, num_samples)) for _ in range(2)]
         for anchor_set in model.anchor_sets:
@@ -527,7 +524,6 @@ class TestNonFiniteInput:
         assert isinstance(results[1].error, NumericalError)
         assert isinstance(results[0], EncodeResult) and isinstance(results[2], EncodeResult)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_far_queries_encode_and_overflowing_ones_fail(self, trained_standard):
         """Queries at 1e20 are far from every anchor: their modality maps to
         exactly 0 and the batch encodes. At 1e38 the float32 map overflows

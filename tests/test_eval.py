@@ -17,7 +17,13 @@ from fusehash import (
     sign_to_pm1,
     store_codes,
 )
-from fusehash.evaluation import RANK_BLOCK, _rank_blocks, format_report, report_key_values
+from fusehash.evaluation import (
+    RANK_BLOCK,
+    EvalReport,
+    _rank_blocks,
+    format_report,
+    report_key_values,
+)
 from fusehash.exceptions import InvalidParameterError, LabelError, ShapeError
 
 
@@ -451,6 +457,17 @@ class TestLoadedCodes:
         checked.clear()
         hamming_rank(query, np.array(loaded_db))  # a plain copy is checked
         assert checked == [(64, 1), (64, 500)]
+
+
+class TestEvalReport:
+    def test_map_and_query_count_are_read_from_the_aps(self):
+        import dataclasses
+
+        aps = np.array([1.0, 0.5, 0.25, 0.1])
+        report = EvalReport(per_query_ap=aps, cutoff=7)
+        assert report.map == float(aps.mean())
+        assert report.num_queries == 4
+        assert [f.name for f in dataclasses.fields(EvalReport)] == ["per_query_ap", "cutoff"]
 
 
 class TestReportText:

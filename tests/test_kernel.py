@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,10 @@ class TestSelectAnchors:
         with pytest.raises(InvalidParameterError):
             select_anchors(feats, 6, seed=0)
 
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ShapeError, match=r"got shape \(5,\)"):
+            select_anchors(np.zeros(5), 2, seed=0)
+
 
 class TestApplyKernel:
     def test_anchor_similarity_to_itself_is_one(self):
@@ -201,6 +206,12 @@ class TestApplyKernel:
         anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=1.0)
         with pytest.raises(ShapeError):
             apply_kernel(np.zeros((4, 5)), anchor_set)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_rejects_a_non_positive_width(self, width):
+        anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width)
+        with pytest.raises(InvalidParameterError, match="non-positive kernel width"):
+            apply_kernel(np.zeros((3, 5)), anchor_set)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -365,19 +376,38 @@ class TestFloat32Range:
         return AnchorSet(anchors=rng.standard_normal((8, 6)), kernel_width=2.0, modality_index=1)
 
     @pytest.mark.parametrize("projected", [False, True])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_far_features_map_to_zero(self, projected):
         feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e20
         projection = np.ones((3, 6)) if projected else None
         assert not apply_kernel(feats, self.anchor_set(), projection).any()
 
     @pytest.mark.parametrize("projected", [False, True])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_an_overflowing_map_names_the_modality(self, projected):
         feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e38
         projection = np.ones((3, 6)) if projected else None
         with pytest.raises(NumericalError, match="modality 1 kernel features"):
             apply_kernel(feats, self.anchor_set(), projection)
+
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_far_features_map_without_a_warning(self, projected):
+        """Overflow to inf inside the float32 map is the documented route to
+        0, not a fault: no numpy warning is raised, and the error state the
+        caller set is the one it has afterwards."""
+        feats = np.random.default_rng(21).standard_normal((8, 50)) * 1e20
+        projection = np.ones((3, 6)) if projected else None
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not apply_kernel(feats, self.anchor_set(), projection).any()
+        assert np.geterr() == before
+
+    def test_silenced_state_ends_before_each_block_is_yielded(self, monkeypatch):
+        """The caller's code between blocks runs under its own error state."""
+        monkeypatch.setattr(kernel, "KERNEL_BLOCK", SMALL_BLOCK)
+        feats = np.random.default_rng(22).standard_normal((8, 3 * SMALL_BLOCK)) * 1e20
+        states = [np.geterr() for _ in kernel._kernel_blocks(feats, self.anchor_set())]
+        assert states == [np.geterr()] * 3
 
 
 class TestSampleCount:

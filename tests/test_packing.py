@@ -103,6 +103,15 @@ class TestPackUnpack:
         with pytest.raises(ShapeError):
             pack_codes(np.array([1, -1, 1]))
 
+    def test_unpack_rejects_a_non_matrix(self):
+        with pytest.raises(ShapeError, match="expected a 2-d packed matrix"):
+            unpack_codes(np.zeros(2, dtype=np.uint8), 16)
+
+    @pytest.mark.parametrize("rows, code_length", [(2, 8), (1, 9), (1, 0)])
+    def test_unpack_rejects_rows_that_do_not_hold_the_bits(self, rows, code_length):
+        with pytest.raises(ShapeError, match="packed rows cannot hold"):
+            unpack_codes(np.zeros((rows, 3), dtype=np.uint8), code_length)
+
 
 class TestCodeMatrix:
     """Matrices read by ``load_codes`` carry their packed bytes; derived arrays do not."""
@@ -194,6 +203,15 @@ class TestPackedHamming:
             pack_codes(code.reshape(-1, 1))[:, 0], pack_codes(db)
         )
         np.testing.assert_array_equal(distances, [0, 16])
+
+    @pytest.mark.parametrize(
+        "query, database",
+        [((2, 1), (2, 5)), ((2,), (5,)), ((3,), (2, 5))],
+        ids=["query-matrix", "database-vector", "byte-counts"],
+    )
+    def test_rejects_incomparable_shapes(self, query, database):
+        with pytest.raises(ShapeError, match="are not comparable"):
+            packed_hamming(np.zeros(query, dtype=np.uint8), np.zeros(database, dtype=np.uint8))
 
     def test_padding_bits_do_not_leak(self):
         """Lengths that do not fill the last byte still give exact distances."""

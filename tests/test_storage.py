@@ -1,6 +1,7 @@
 """Binary file formats, CSV fallback, bundle directories."""
 
 import io
+import re
 import struct
 import tracemalloc
 import zlib
@@ -19,6 +20,7 @@ from fusehash import (
     load_codes,
     load_features,
     load_model,
+    pack_codes,
     sign_to_pm1,
     store_bundle,
     store_centers,
@@ -256,7 +258,6 @@ class TestModelFiles:
                 anchor_sets=[AnchorSet(layout(a), 1.5) for a in anchors],
                 train_weights=np.array([0.25, 0.75]),
                 delta=0.5,
-                code_length=64,
             )
 
         c_order, fortran = model(np.ascontiguousarray), model(np.asfortranarray)
@@ -384,7 +385,8 @@ class TestFrameRejections:
         path = tmp_path / "feats.amfh"
         payload = struct.pack("<QQ", *shape) + np.ones(values).tobytes()
         path.write_bytes(framed(storage.KIND_FEATURES, payload))
-        with pytest.raises(CorruptFileError, match=f"payload {message} than"):
+        name = re.escape(str(path))
+        with pytest.raises(CorruptFileError, match=f"^{name}: payload {message} than"):
             load_features(path)
 
     def test_non_positive_code_length(self, tmp_path):
@@ -398,6 +400,21 @@ class TestFrameRejections:
         path = tmp_path / "centers.amfh"
         path.write_bytes(framed(storage.KIND_CENTERS, struct.pack("<QQQQB", *dims, 0, 8, 1)))
         with pytest.raises(CorruptFileError, match="non-positive center dimensions"):
+            load_centers(path)
+
+    @pytest.mark.parametrize(
+        "order, exact", [(16, 1), (8, 0), (8, 2)], ids=["order", "flag", "flag-byte"]
+    )
+    def test_center_header_contradicting_its_columns(self, tmp_path, order, exact):
+        """8 x 3 centers come from order 8 and are exact; a header that says
+        otherwise is corrupt, not a table to audit against another bound."""
+        table = build_center_table(8, 3, seed=0)
+        packed = np.ascontiguousarray(pack_codes(table.centers).T).tobytes()
+        path = tmp_path / "centers.amfh"
+        path.write_bytes(
+            framed(storage.KIND_CENTERS, struct.pack("<QQQQB", 8, 3, 0, order, exact) + packed)
+        )
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: header gives"):
             load_centers(path)
 
     @pytest.mark.parametrize(
@@ -424,7 +441,6 @@ class TestStoreModelShapes:
             anchor_sets=[AnchorSet(a, 1.5) for a in anchors],
             train_weights=np.full(len(projections), 1.0 / max(len(projections), 1)),
             delta=1e-3,
-            code_length=4,
         )
 
     def test_no_modalities(self, tmp_path):

@@ -326,6 +326,22 @@ class TestFit:
         with pytest.raises(ShapeError):
             fit(feats, labels, build_center_table(8, 2, seed=0))
 
+    def test_rejects_no_modality(self):
+        with pytest.raises(InvalidParameterError, match="need at least one modality"):
+            fit([], [], build_center_table(8, 2, seed=0))
+
+    def test_rejects_a_single_sample(self):
+        with pytest.raises(InvalidParameterError, match="need at least 2 training samples, got 1"):
+            fit([np.ones((3, 1))], [{0}], build_center_table(8, 2, seed=0))
+
+    def test_singular_ridge_system_raises(self):
+        """Identical samples give identical anchors, so K K^T has equal rows,
+        and a delta of 1e-300 vanishes beside its entries of 4: the LU
+        factorization meets an exactly zero pivot."""
+        labels = [{0}, {1}, {0}, {1}]
+        with pytest.raises(NumericalError, match="ridge system is singular"):
+            fit([np.ones((3, 4))], labels, build_center_table(8, 2, seed=0), TrainConfig(delta=1e-300))
+
     def test_rejects_label_count_mismatch(self):
         rng = np.random.default_rng(14)
         feats = [rng.standard_normal((4, 10))]
@@ -344,7 +360,6 @@ class TestFit:
             fit(feats, labels, build_center_table(8, 2, seed=0))
 
     @pytest.mark.parametrize("spread", [1e19, 1e20])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_features_beyond_the_float32_map_raise(self, spread):
         """The float32 map of such features overflows into NaN; fit names the
         modality instead of returning NaN projections and weights."""
@@ -354,7 +369,6 @@ class TestFit:
         with pytest.raises(NumericalError, match="modality 1 kernel features"):
             fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_features_at_1e17_still_train(self):
         rng = np.random.default_rng(0)
         feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * 1e17]
@@ -529,7 +543,6 @@ class TestBlockedTraining:
             anchor_sets=model.anchor_sets,
             train_weights=weights,
             delta=config.delta,
-            code_length=8,
         )
         np.testing.assert_array_equal(
             fuse_encode_fixed(model, feats), fuse_encode_fixed(reference, feats)
@@ -587,7 +600,6 @@ class TestFuseEncodeFixed:
             anchor_sets=[anchor_set],
             train_weights=np.array([weight]),
             delta=1e-3,
-            code_length=proj.shape[0],
             objective_trace=[1.0],
             converged=True,
         )
@@ -605,6 +617,12 @@ class TestFuseEncodeFixed:
         np.testing.assert_array_equal(codes[0], codes[1])
         np.testing.assert_array_equal(codes[1], codes[2])
 
+    def test_code_length_is_read_from_the_projections(self):
+        rng = np.random.default_rng(16)
+        model = self.make_model(rng.standard_normal((16, 4)), rng.standard_normal((2, 4)), 1.0)
+        assert model.code_length == 16
+        assert fuse_encode_fixed(model, [np.zeros((2, 5))]).shape == (16, 5)
+
     def test_rejects_wrong_modality_count(self):
         rng = np.random.default_rng(16)
         model = self.make_model(
@@ -619,7 +637,6 @@ class TestFuseEncodeFixed:
             anchor_sets=[AnchorSet(anchors=rng.standard_normal((2, 3)), kernel_width=1.5)] * 2,
             train_weights=np.array([0.4, 0.6]),
             delta=1e-3,
-            code_length=4,
         )
 
     def test_rejects_modalities_of_different_sample_counts(self):
@@ -645,7 +662,7 @@ class TestFuseEncodeFixed:
             "from fusehash.kernel import AnchorSet\n"
             "model = training.TrainedModel(projections=[np.ones((4, 3))], "
             "anchor_sets=[AnchorSet(anchors=np.eye(2, 3), kernel_width=1.0)], "
-            "train_weights=np.array([1.0]), delta=1e-3, code_length=4)\n"
+            "train_weights=np.array([1.0]), delta=1e-3)\n"
             "print(training.fuse_encode_fixed(model, [np.zeros((2, 5))]).shape)\n"
         )
         package_root = str(Path(training.__file__).parents[1])  # the fusehash under test
