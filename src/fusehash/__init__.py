@@ -32,7 +32,6 @@ from .evaluation import (
     format_report,
     hamming_rank,
     mean_average_precision,
-    precision_at_k,
     report_key_values,
 )
 from .exceptions import (
@@ -121,7 +120,6 @@ __all__ = [
     "mean_average_precision",
     "objective",
     "pack_codes",
-    "precision_at_k",
     "report_key_values",
     "required_order",
     "retrieval_map",

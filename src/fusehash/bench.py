@@ -68,18 +68,19 @@ def retrieval_map(
     Database codes come from the training-weight hash function and query
     codes from the adaptive encoder.
     """
-    db_batch = QueryBatch(features=bundle.features_at(bundle.retrieval_indices))
-    db_codes = encode_fixed(model, db_batch).codes
+    db_codes, db_labels = _retrieval_database(model, bundle)
     batch = QueryBatch(features=bundle.features_at(bundle.query_indices))
     result = encode_adaptive(model, batch)
     report = mean_average_precision(
-        result.codes,
-        bundle.labels_at(bundle.query_indices),
-        db_codes,
-        bundle.labels_at(bundle.retrieval_indices),
-        cutoff,
+        result.codes, bundle.labels_at(bundle.query_indices), db_codes, db_labels, cutoff
     )
     return report.map
+
+
+def _retrieval_database(model: TrainedModel, bundle: DatasetBundle):
+    """The retrieval split's training-weight codes and its labels."""
+    db_batch = QueryBatch(features=bundle.features_at(bundle.retrieval_indices))
+    return encode_fixed(model, db_batch).codes, bundle.labels_at(bundle.retrieval_indices)
 
 
 @dataclass
@@ -119,9 +120,7 @@ def run_ablation(
     )
     adaptive = encode_stream(model, batches, mode="adaptive")
     fixed = encode_stream(model, batches, mode="fixed")
-    db_batch = QueryBatch(features=bundle.features_at(bundle.retrieval_indices))
-    db_codes = encode_fixed(model, db_batch).codes
-    db_labels = bundle.labels_at(bundle.retrieval_indices)
+    db_codes, db_labels = _retrieval_database(model, bundle)
     query_labels = bundle.labels_at(bundle.query_indices)
 
     adaptive_map = mean_average_precision(

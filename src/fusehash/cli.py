@@ -2,9 +2,15 @@
 sweep-delta, ablate.
 
 Every command is deterministic given its flags and seeds. Failures print a
-single ``error: <type>: <message>`` line on stderr and exit nonzero. A
-``--config FILE`` option on any subcommand reads ``key=value`` lines as
-defaults; explicitly passed flags win because they come later on the line.
+single ``error: <type>: <message>`` line on stderr and exit nonzero.
+
+An argument ``@FILE`` anywhere on the line is replaced by the file's lines,
+one argument per line (argparse's ``fromfile_prefix_chars``): there is no
+``key=value`` form, no comment or blank line, and no ``true``/``false``, as a
+flag is either present or absent. The arguments take the place of
+``@FILE``, so a flag after it wins and a flag before it loses. A missing
+file is a usage error (exit 2), like an unknown flag; ``--config`` is not an
+option, and any argument starting with ``@`` names a file.
 """
 
 from __future__ import annotations
@@ -26,12 +32,7 @@ from .bench import (
 from .centers import audit_centers, build_center_table, count_classes
 from .encoding import ENCODE_MODES, _split_batches, _stream_codes, encode_stream
 from .evaluation import _rank_blocks, format_report, mean_average_precision, report_key_values
-from .exceptions import (
-    CorruptFileError,
-    FusehashError,
-    InvalidParameterError,
-    ShapeError,
-)
+from .exceptions import FusehashError, InvalidParameterError, ShapeError
 from .storage import (
     load_bundle,
     load_codes,
@@ -50,65 +51,13 @@ from .training import TrainConfig, fit
 SPLITS = ("train", "query", "retrieval", "all")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Comma-separated values of ``kind`` (int or float); empty items are skipped."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise InvalidParameterError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise InvalidParameterError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _config_tokens(path: str) -> list[str]:
-    file = Path(path)
-    if not file.is_file():
-        raise CorruptFileError(f"{path}: config file not found")
-    tokens: list[str] = []
-    for line in file.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CorruptFileError(f"{path}: malformed config line {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if value.lower() in ("true", "yes"):
-            tokens.append(f"--{key}")
-        elif value.lower() in ("false", "no"):
-            continue
-        else:
-            tokens.extend([f"--{key}", value])
-    return tokens
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Replace --config FILE with the file's flags, placed before explicit ones."""
-    if not argv:
-        return argv
-    head, rest = argv[:1], argv[1:]
-    config: list[str] = []
-    cleaned: list[str] = []
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        if token == "--config":
-            if i + 1 >= len(rest):
-                raise InvalidParameterError("--config requires a file path")
-            config.extend(_config_tokens(rest[i + 1]))
-            i += 2
-        elif token.startswith("--config="):
-            config.extend(_config_tokens(token.split("=", 1)[1]))
-            i += 1
-        else:
-            cleaned.append(token)
-            i += 1
-    return head + config + cleaned
+        noun = "integers" if kind is int else "numbers"
+        raise InvalidParameterError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _write_weight_trace(path, weight_rows) -> None:
@@ -120,13 +69,13 @@ def _write_weight_trace(path, weight_rows) -> None:
 
 
 def cmd_synth(args) -> int:
-    spread: float | tuple[float, ...] = _parse_float_list(args.spread)
+    spread: float | tuple[float, ...] = _parse_list(args.spread, float)
     if len(spread) == 1:
         spread = spread[0]
     spec = SynthSpec(
         num_classes=args.classes,
         samples_per_class=args.per_class,
-        modality_dims=_parse_int_list(args.dims),
+        modality_dims=_parse_list(args.dims, int),
         cluster_spread=spread,
         seed=args.seed,
         train_fraction=args.train_fraction,
@@ -184,7 +133,7 @@ def cmd_train(args) -> int:
 
 
 def _encode_features(args, model):
-    missing = set(_parse_int_list(args.missing)) if args.missing else set()
+    missing = set(_parse_list(args.missing, int)) if args.missing else set()
     for index in missing:
         if index < 0 or index >= model.num_modalities:
             raise InvalidParameterError(
@@ -308,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusehash",
         description="Multi-modal learning-to-hash: train, encode, and evaluate binary codes.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -396,10 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config(raw))
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         # Surface a dead pipe here, inside the handler's reach, instead of
         # during the interpreter's shutdown flush.

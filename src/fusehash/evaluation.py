@@ -39,7 +39,6 @@ RANK_BLOCK = 8
 class RankedRetrieval:
     """Full ranking of one query against a code database."""
 
-    query_code: np.ndarray  # (r,), entries in {-1, +1}
     ranked_indices: np.ndarray  # permutation of database indices
     distances: np.ndarray  # non-decreasing, aligned with ranked_indices
 
@@ -67,7 +66,6 @@ def hamming_rank(query, database) -> RankedRetrieval:
         raise ShapeError(f"expected one (r,) or (r, 1) query code, got shape {query_code.shape}")
     _, order, distances = next(_rank_blocks(query_code.reshape(-1, 1), database))
     return RankedRetrieval(
-        query_code=query_code.astype(np.int8),
         ranked_indices=order[0],
         distances=distances[0][order[0]].astype(np.int64),  # a 1-d gather, not the slower [0, order[0]]
     )
@@ -128,16 +126,6 @@ def average_precision(relevance, cutoff: int) -> float:
     precision = np.zeros(cutoff)
     precision[positions] = np.arange(1, found + 1, dtype=np.float64) / (positions + 1.0)
     return float(precision.sum() / found)
-
-
-def precision_at_k(relevance, k: int) -> float:
-    """Fraction of relevant items among the top k of a ranked relevance vector."""
-    rel = np.asarray(relevance, dtype=np.float64).reshape(-1)
-    if k < 1:
-        raise InvalidParameterError(f"k must be at least 1, got {k}")
-    if k > rel.shape[0]:
-        raise InvalidParameterError(f"k {k} exceeds ranking length {rel.shape[0]}")
-    return float(rel[:k].sum() / k)
 
 
 def _label_bits(label_sets, label_ids: np.ndarray) -> np.ndarray:

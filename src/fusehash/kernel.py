@@ -26,6 +26,7 @@ against 227-280 us in float64 (three alternating in-process runs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,6 +160,10 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
     if anchor_set.kernel_width <= 0:
         raise InvalidParameterError(
             f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
+        )
+    if not math.isfinite(anchor_set.kernel_width):
+        raise InvalidParameterError(
+            f"anchor set has non-finite kernel width {anchor_set.kernel_width}"
         )
     name = f"modality {anchor_set.modality_index} kernel features"
     if projection is None:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .centers import HashCenterTable
-from .exceptions import CorruptFileError, ShapeError
+from .exceptions import CorruptFileError, InvalidParameterError, ShapeError
 from .kernel import AnchorSet
 from .packing import CodeMatrix, _code_matrix, pack_codes, unpack_codes
 from .synth import DatasetBundle
@@ -220,15 +220,40 @@ def load_centers(path) -> HashCenterTable:
     return table
 
 
+def _unusable_model_value(model: TrainedModel) -> str | None:
+    """The first train weight, kernel width or delta of ``model`` that is not
+    finite and positive, described; None when all are. Encoding with such a
+    value emits constant or meaningless codes."""
+    values = [
+        *((f"modality {m} train weight", w) for m, w in enumerate(model.train_weights)),
+        *((f"modality {m} kernel width", s.kernel_width) for m, s in enumerate(model.anchor_sets)),
+        ("delta", model.delta),
+    ]
+    for name, value in values:
+        if not 0 < value < np.inf:
+            return f"{name} {value} is not finite and positive"
+    return None
+
+
 def store_model(model: TrainedModel, path) -> None:
     """Write a trained model as a kind-3 AMFH file.
 
     The objective trace is training telemetry and is not persisted; loads
-    return an empty trace.
+    return an empty trace. A train weight, kernel width or delta that is not
+    finite and positive raises ``InvalidParameterError`` before anything is
+    written, as ``load_model`` would reject the file.
     """
     num_modalities = model.num_modalities
     if num_modalities < 1:
         raise ShapeError("model has no modalities")
+    if np.shape(model.train_weights) != (num_modalities,):
+        raise ShapeError(
+            f"train weights of shape {np.shape(model.train_weights)} "
+            f"for {num_modalities} modalities"
+        )
+    problem = _unusable_model_value(model)
+    if problem:
+        raise InvalidParameterError(f"model {problem}")
     num_anchors = model.projections[0].shape[1]
     for proj in model.projections:
         if proj.shape != (model.code_length, num_anchors):
@@ -257,6 +282,8 @@ def store_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a kind-3 AMFH file. A train weight, kernel width or delta that is
+    not finite and positive raises ``CorruptFileError``."""
     cur = _read_file(path, KIND_MODEL)
     num_modalities = cur.u64()
     code_length = cur.u64()
@@ -287,7 +314,7 @@ def load_model(path) -> TrainedModel:
         )
         projections.append(proj)
     cur.done()
-    return TrainedModel(
+    model = TrainedModel(
         projections=projections,
         anchor_sets=anchor_sets,
         train_weights=weights,
@@ -295,6 +322,10 @@ def load_model(path) -> TrainedModel:
         objective_trace=[],
         converged=True,
     )
+    problem = _unusable_model_value(model)
+    if problem:
+        raise CorruptFileError(f"{path}: {problem}")
+    return model
 
 
 def store_bundle(bundle: DatasetBundle, directory) -> None:
@@ -321,7 +352,7 @@ def store_bundle(bundle: DatasetBundle, directory) -> None:
 
 def read_manifest(directory) -> dict[str, int]:
     """The bundle's ``key=value`` manifest; ``num_modalities`` and
-    ``num_samples`` are required, other keys (older bundles carry
+    ``num_samples`` are required and at least 1, other keys (older bundles carry
     ``num_classes``) are kept but unused."""
     path = Path(directory) / "manifest.txt"
     if not path.is_file():
@@ -341,6 +372,8 @@ def read_manifest(directory) -> dict[str, int]:
     for key in ("num_modalities", "num_samples"):
         if key not in values:
             raise CorruptFileError(f"{path}: manifest misses key {key!r}")
+        if values[key] < 1:
+            raise CorruptFileError(f"{path}: {key} must be at least 1, got {values[key]}")
     return values
 
 

@@ -1,4 +1,11 @@
-"""Command-line interface: subcommands, config files, error lines."""
+"""Command-line interface: subcommands, argument files, error lines.
+
+An ``@FILE`` argument is replaced by the file's lines, one argument per line,
+in its place on the command line: a flag after it wins, one before it loses.
+The file has no ``key=value`` form, comments, blank lines or ``true``/``false``
+values. A missing file exits 2 with argparse's usage error, and
+``--config`` is an unknown argument.
+"""
 
 import os
 import struct
@@ -647,70 +654,31 @@ class TestBenchAndStudies:
 
 
 class TestConfigFile:
+    """``@FILE`` arguments come from argparse; these tests cover only that the
+    top-level parser turns them on."""
+
     def test_config_supplies_required_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "centers.cfg"
-        cfg.write_text("bits=16\nclasses=10\n")
-        code, stdout, _ = run(["centers", "--config", str(cfg)], capsys)
-        assert code == 0
-        assert parse_kv_line(stdout.strip())["bits"] == "16"
-
-    def test_explicit_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "centers.cfg"
-        cfg.write_text("bits=16\nclasses=10\n")
-        code, stdout, _ = run(
-            ["centers", "--config", str(cfg), "--bits", "32"], capsys
-        )
-        assert code == 0
-        assert parse_kv_line(stdout.strip())["bits"] == "32"
-
-    def test_missing_config_file_is_an_error(self, tmp_path, capsys):
-        code, _, stderr = run(
-            ["centers", "--config", str(tmp_path / "nope.cfg")], capsys
-        )
-        assert code == 1
-        assert stderr.startswith("error:")
-
-    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
-        cfg = tmp_path / "centers.cfg"
-        cfg.write_text("# a 16-bit table\n\nbits = 16\n   \n  # classes next\nclasses=10\n")
-        code, stdout, _ = run(["centers", "--config", str(cfg)], capsys)
+        args = tmp_path / "centers.args"
+        args.write_text("--bits\n16\n--classes=10\n")
+        code, stdout, _ = run(["centers", f"@{args}"], capsys)
         assert code == 0
         values = parse_kv_line(stdout.strip())
         assert (values["bits"], values["classes"]) == ("16", "10")
 
-    def test_equals_form_reads_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "centers.cfg"
-        cfg.write_text("bits=16\nclasses=10\n")
-        code, stdout, _ = run(["centers", f"--config={cfg}"], capsys)
+    def test_explicit_flag_overrides_config(self, tmp_path, capsys):
+        args = tmp_path / "centers.args"
+        args.write_text("--bits\n16\n--classes=10\n")
+        code, stdout, _ = run(["centers", f"@{args}", "--bits", "32"], capsys)
         assert code == 0
-        assert parse_kv_line(stdout.strip())["bits"] == "16"
+        assert parse_kv_line(stdout.strip())["bits"] == "32"
 
-    def test_malformed_line_is_an_error(self, tmp_path, capsys):
-        cfg = tmp_path / "centers.cfg"
-        cfg.write_text("bits=16\nclasses 10\n")
-        code, _, stderr = run(["centers", "--config", str(cfg)], capsys)
-        assert code == 1
-        assert stderr == f"error: CorruptFileError: {cfg}: malformed config line 'classes 10'\n"
-
-    def test_config_without_a_path_is_an_error(self, capsys):
-        code, _, stderr = run(["centers", "--bits", "16", "--config"], capsys)
-        assert code == 1
-        assert stderr == "error: InvalidParameterError: --config requires a file path\n"
-
-    @pytest.mark.parametrize(
-        "value, per_query", [("true", True), ("yes", True), ("false", False), ("NO", False)]
-    )
-    def test_boolean_keys_set_or_leave_a_flag(self, workspace, tmp_path, capsys, value, per_query):
-        cfg = tmp_path / "eval.cfg"
-        cfg.write_text(f"per-query={value}\n")
-        report = tmp_path / "report.txt"
-        code, _, _ = run([
-            "eval", "--config", str(cfg), "--queries", str(workspace["query_codes"]),
-            "--db", str(workspace["db_codes"]), "--bundle", str(workspace["bundle"]),
-            "--out", str(report),
-        ], capsys)
-        assert code == 0
-        assert ("ap[0]" in report.read_text()) == per_query
+    def test_missing_config_file_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.args"
+        with pytest.raises(SystemExit) as info:
+            main(["centers", f"@{missing}"])
+        assert info.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.endswith(f"fusehash: error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 class TestErrorHandling:
@@ -730,3 +698,23 @@ class TestErrorHandling:
         lines = [l for l in stderr.splitlines() if l]
         assert len(lines) == 1
         assert lines[0].startswith("error: CorruptFileError:")
+
+    def test_model_with_nan_weights_is_rejected(self, workspace, capsys, tmp_path):
+        """A checksum-valid model whose train weights are NaN would encode
+        every query as all -1; the load rejects it instead."""
+        blob = bytearray(workspace["model"].read_bytes()[:-4])
+        blob[39:55] = np.full(2, np.nan).tobytes()  # after magic, kind, version and 4 sizes
+        bad = tmp_path / "nan.amfh"
+        bad.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        out = tmp_path / "o.amfh"
+        code, stdout, stderr = run([
+            "encode", "--model", str(bad),
+            "--bundle", str(workspace["bundle"]), "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"error: CorruptFileError: {bad}: modality 0 train weight nan "
+            "is not finite and positive\n"
+        )
+        assert not out.exists()

@@ -13,7 +13,6 @@ from fusehash import (
     load_codes,
     mean_average_precision,
     packing,
-    precision_at_k,
     sign_to_pm1,
     store_codes,
 )
@@ -105,8 +104,6 @@ class TestHammingRank:
         want = hamming_rank(column[:, 0], db)
         np.testing.assert_array_equal(got.ranked_indices, want.ranked_indices)
         np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(got.query_code, column[:, 0])
-        assert got.query_code.shape == (64,)
 
     @pytest.mark.parametrize(
         "query, db",
@@ -222,18 +219,6 @@ class TestAveragePrecision:
             average_precision([1, 0], cutoff=0)
         with pytest.raises(InvalidParameterError):
             average_precision([1, 0], cutoff=3)
-
-
-class TestPrecisionAtK:
-    def test_counts_fraction(self):
-        assert precision_at_k([1, 0, 1, 0], k=4) == 0.5
-        assert precision_at_k([1, 0, 1, 0], k=1) == 1.0
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(InvalidParameterError):
-            precision_at_k([1, 0], k=0)
-        with pytest.raises(InvalidParameterError):
-            precision_at_k([1, 0], k=5)
 
 
 class TestMeanAveragePrecision:
@@ -434,7 +419,6 @@ class TestLoadedCodes:
             want = hamming_rank(plain_q[:, i], plain_db)
             np.testing.assert_array_equal(got.ranked_indices, want.ranked_indices)
             np.testing.assert_array_equal(got.distances, want.distances)
-            np.testing.assert_array_equal(got.query_code, want.query_code)
             assert got.distances.dtype == np.int64
         for cutoff in (None, 10):
             got = mean_average_precision(loaded_q, query_labels, loaded_db, db_labels, cutoff)

@@ -213,6 +213,13 @@ class TestApplyKernel:
         with pytest.raises(InvalidParameterError, match="non-positive kernel width"):
             apply_kernel(np.zeros((3, 5)), anchor_set)
 
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_rejects_a_non_finite_width(self, width):
+        """An infinite width maps every feature to 1, so all codes agree."""
+        anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width)
+        with pytest.raises(InvalidParameterError, match="non-finite kernel width"):
+            apply_kernel(np.zeros((3, 5)), anchor_set)
+
     @settings(max_examples=100, deadline=None)
     @given(
         dim=st.integers(1, 6),

@@ -29,7 +29,7 @@ from fusehash import (
     store_model,
 )
 from fusehash import SynthSpec
-from fusehash.exceptions import CorruptFileError, ShapeError
+from fusehash.exceptions import CorruptFileError, InvalidParameterError, ShapeError
 from fusehash.kernel import AnchorSet
 from fusehash.storage import load_labels, read_manifest
 from fusehash.training import TrainedModel
@@ -454,11 +454,73 @@ class TestStoreModelShapes:
             store_model(model, tmp_path / "model.amfh")
         assert not (tmp_path / "model.amfh").exists()
 
+    def test_weight_count_differs_from_the_modalities(self, tmp_path):
+        """Three weights for two modalities would write a file that
+        ``load_model`` rejects as shorter than its header declares."""
+        model = self.model([np.ones((4, 3))] * 2, [np.ones((2, 3))] * 2)
+        model.train_weights = np.array([0.2, 0.3, 0.5])
+        with pytest.raises(ShapeError, match=r"train weights of shape \(3,\) for 2 modalities"):
+            store_model(model, tmp_path / "model.amfh")
+        assert not (tmp_path / "model.amfh").exists()
+
     def test_anchor_count_differs_from_the_projections(self, tmp_path):
         model = self.model([np.ones((4, 3))], [np.ones((2, 5))])
         with pytest.raises(ShapeError, match="anchor set 0 holds 5 anchors, expected 3"):
             store_model(model, tmp_path / "model.amfh")
         assert not (tmp_path / "model.amfh").exists()
+
+
+class TestModelValues:
+    """A model whose train weights, kernel widths or delta are not finite and
+    positive encodes garbage (NaN weights give all -1 codes, an infinite
+    width all +1): it is neither written nor loaded."""
+
+    CASES = [
+        ("weights", [np.nan, np.nan], "modality 0 train weight nan"),
+        ("weights", [0.0, 1.0], "modality 0 train weight 0.0"),
+        ("weights", [-0.5, 1.5], "modality 0 train weight -0.5"),
+        ("weights", [np.inf, 1.0], "modality 0 train weight inf"),
+        ("widths", [1.5, np.inf], "modality 1 kernel width inf"),
+        ("widths", [np.nan, 1.5], "modality 0 kernel width nan"),
+        ("widths", [1.5, 0.0], "modality 1 kernel width 0.0"),
+        ("delta", 0.0, "delta 0.0"),
+        ("delta", -1e-3, "delta -0.001"),
+        ("delta", np.inf, "delta inf"),
+    ]
+    IDS = [f"{field}-{message.split()[-1]}" for field, _, message in CASES]
+
+    @staticmethod
+    def values(field, value):
+        values = {"weights": [0.25, 0.75], "widths": [1.5, 2.0], "delta": 1e-3}
+        values[field] = value
+        return values
+
+    @pytest.mark.parametrize("field, value, message", CASES, ids=IDS)
+    def test_load_rejects_the_file(self, tmp_path, field, value, message):
+        values = self.values(field, value)
+        payload = struct.pack("<QQQd", 2, 4, 3, values["delta"])
+        payload += np.array(values["weights"], dtype="<f8").tobytes()
+        for width in values["widths"]:
+            payload += struct.pack("<QdQ", 2, width, 0) + np.ones(2 * 3 + 4 * 3).tobytes()
+        path = tmp_path / "model.amfh"
+        path.write_bytes(framed(storage.KIND_MODEL, payload))
+        expected = f"^{re.escape(f'{path}: {message} is not finite and positive')}$"
+        with pytest.raises(CorruptFileError, match=expected):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value, message", CASES, ids=IDS)
+    def test_store_rejects_the_model_before_writing(self, tmp_path, field, value, message):
+        values = self.values(field, value)
+        model = TrainedModel(
+            projections=[np.ones((4, 3)), np.ones((4, 3))],
+            anchor_sets=[AnchorSet(np.ones((2, 3)), width) for width in values["widths"]],
+            train_weights=np.array(values["weights"]),
+            delta=values["delta"],
+        )
+        path = tmp_path / "model.amfh"
+        with pytest.raises(InvalidParameterError, match=f"^model {re.escape(message)} is not"):
+            store_model(model, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBundleRejections:
@@ -475,6 +537,23 @@ class TestBundleRejections:
     def test_manifest_misses_a_key(self, bundle_dir):
         (bundle_dir / "manifest.txt").write_text("# comment\n\nnum_modalities=2\n")
         with pytest.raises(CorruptFileError, match="misses key 'num_samples'"):
+            load_bundle(bundle_dir)
+
+    @pytest.mark.parametrize(
+        "manifest, key, count",
+        [
+            ("num_modalities=0\nnum_samples=80\n", "num_modalities", 0),
+            ("num_modalities=-1\nnum_samples=80\n", "num_modalities", -1),
+            ("num_modalities=2\nnum_samples=0\n", "num_samples", 0),
+        ],
+        ids=["no-modalities", "negative-modalities", "no-samples"],
+    )
+    def test_manifest_count_below_one(self, bundle_dir, manifest, key, count):
+        """A bundle with no modalities would load, and fail later on a
+        parameter its user never set."""
+        (bundle_dir / "manifest.txt").write_text(manifest)
+        message = f"{bundle_dir / 'manifest.txt'}: {key} must be at least 1, got {count}"
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(message)}$"):
             load_bundle(bundle_dir)
 
     def test_malformed_split_index(self, bundle_dir):
