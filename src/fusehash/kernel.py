@@ -22,6 +22,7 @@ halves the anchor bytes BLAS packs per call, which sets the cost of the
 thin products of small-batch encoding: on 2 vCPUs with OpenBLAS 0.3.31, the
 projected map of an 8-column batch at d=256, p=1000, r=64 took 153-221 us
 against 227-280 us in float64 (three alternating in-process runs).
+An :class:`AnchorSet` checks itself when built, so the map checks only features.
 """
 
 from __future__ import annotations
@@ -46,17 +47,28 @@ KERNEL_BLOCK = 1024
 class AnchorSet:
     """Anchors of one modality plus the Gaussian width used with them.
 
-    Treat ``anchors`` as read-only: the map's operands derived from them (the
-    anchor mean, the centred anchors' -2 multiple and their squared norms)
-    are cached on first use, outside the dataclass fields, so they are
-    neither stored nor compared. Pickles carry the caches; ``load_model``
-    rebuilds them.
+    Valid by construction: finite (d, p) anchors with d, p >= 1, and a
+    finite, positive width. Treat ``anchors`` as read-only: the map's
+    operands derived from them (the anchor mean, the centred anchors' -2
+    multiple and their squared norms) are cached on first use, outside the
+    dataclass fields, so they are neither stored nor compared. Pickles carry
+    the caches; ``load_model`` rebuilds them.
     """
 
     anchors: np.ndarray  # (d, p), columns are anchor points
     kernel_width: float  # > 0
     modality_index: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        if np.ndim(self.anchors) != 2 or 0 in np.shape(self.anchors):
+            shape = np.shape(self.anchors)
+            raise ShapeError(f"anchors of shape {shape} are not a (d, p) matrix with d, p >= 1")
+        name = f"modality {self.modality_index}"
+        require_finite(self.anchors, f"{name} anchors")
+        if not 0 < self.kernel_width < math.inf:
+            width = self.kernel_width
+            raise InvalidParameterError(f"{name} kernel width {width} is not finite and positive")
 
     @cached_property
     def anchor_mean(self) -> np.ndarray:
@@ -90,7 +102,8 @@ def select_anchors(
     The kernel width is the mean pairwise Euclidean distance among the
     selected anchors, estimated from at most ``MAX_WIDTH_PAIRS`` pairs when
     the anchor count is large, or 1 for a single anchor or a zero mean.
-    Deterministic under a fixed seed.
+    Deterministic under a fixed seed. NaN or infinite anchors, or a width
+    that overflows, raise :class:`NumericalError` naming the modality.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -104,10 +117,15 @@ def select_anchors(
         )
     rng = np.random.default_rng(seed)
     indices = rng.choice(n, size=num_anchors, replace=False)
-    anchors = feats[:, indices].copy()
+    name = f"modality {modality_index} features"
+    anchors = require_finite(feats[:, indices].copy(), name)
+    with np.errstate(over="ignore"):  # an overflowing width is raised just below
+        width = _mean_anchor_distance(anchors, rng)
+    if not math.isfinite(width):
+        raise NumericalError(f"{name} lie too far apart for a finite kernel width")
     return AnchorSet(
         anchors=anchors,
-        kernel_width=_mean_anchor_distance(anchors, rng),
+        kernel_width=width,
         modality_index=modality_index,
         seed=seed,
     )
@@ -156,14 +174,6 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
         raise ShapeError(
             f"feature shape {feats.shape} does not match anchor dimensionality "
             f"{anchors.shape[0]}"
-        )
-    if anchor_set.kernel_width <= 0:
-        raise InvalidParameterError(
-            f"anchor set has non-positive kernel width {anchor_set.kernel_width}"
-        )
-    if not math.isfinite(anchor_set.kernel_width):
-        raise InvalidParameterError(
-            f"anchor set has non-finite kernel width {anchor_set.kernel_width}"
         )
     name = f"modality {anchor_set.modality_index} kernel features"
     if projection is None:

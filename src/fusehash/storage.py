@@ -7,6 +7,9 @@ touching the payload, so a truncated or mangled file is rejected whole.
 Writes go through a temporary file that replaces the target only once it
 is complete, so an interrupted write never clobbers an existing file.
 
+Types check themselves when built, so storing only serializes; loading turns
+a value their constructors reject into a ``CorruptFileError`` naming the file.
+
 Code and center files store each code as ``ceil(r/8)`` packed bytes with
 zero padding bits; a set padding bit rejects the file. ``load_codes``
 returns a read-only ``CodeMatrix`` that keeps those bytes for ranking.
@@ -14,6 +17,7 @@ returns a read-only ``CodeMatrix`` that keeps those bytes for ranking.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .centers import HashCenterTable
-from .exceptions import CorruptFileError, InvalidParameterError, ShapeError
+from .exceptions import CorruptFileError, InvalidParameterError, NumericalError, ShapeError
 from .kernel import AnchorSet
 from .packing import CodeMatrix, _code_matrix, pack_codes, unpack_codes
 from .synth import DatasetBundle
@@ -68,8 +72,14 @@ class _Cursor:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
-    def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+    def f64_array(self, *shape: int) -> np.ndarray:
+        """An array of ``shape``. An empty one can declare a side too long
+        for numpy, which rejects the file."""
+        data = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").copy()
+        try:
+            return data.reshape(shape)
+        except ValueError as exc:
+            raise CorruptFileError(f"{self.path}: array shape {shape} too large") from exc
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -147,11 +157,9 @@ def load_features(path) -> np.ndarray:
     if blob[: len(MAGIC)] != MAGIC:
         return _load_csv(path)
     cur = _Cursor(_checked_payload(blob, KIND_FEATURES, path), path)
-    rows = cur.u64()
-    cols = cur.u64()
-    data = cur.f64_array(rows * cols)
+    data = cur.f64_array(cur.u64(), cur.u64())
     cur.done()
-    return data.reshape(rows, cols)
+    return data
 
 
 def store_codes(codes, path) -> None:
@@ -220,112 +228,50 @@ def load_centers(path) -> HashCenterTable:
     return table
 
 
-def _unusable_model_value(model: TrainedModel) -> str | None:
-    """The first train weight, kernel width or delta of ``model`` that is not
-    finite and positive, described; None when all are. Encoding with such a
-    value emits constant or meaningless codes."""
-    values = [
-        *((f"modality {m} train weight", w) for m, w in enumerate(model.train_weights)),
-        *((f"modality {m} kernel width", s.kernel_width) for m, s in enumerate(model.anchor_sets)),
-        ("delta", model.delta),
-    ]
-    for name, value in values:
-        if not 0 < value < np.inf:
-            return f"{name} {value} is not finite and positive"
-    return None
-
-
 def store_model(model: TrainedModel, path) -> None:
     """Write a trained model as a kind-3 AMFH file.
 
-    The objective trace is training telemetry and is not persisted; loads
-    return an empty trace. A train weight, kernel width or delta that is not
-    finite and positive raises ``InvalidParameterError`` before anything is
-    written, as ``load_model`` would reject the file.
+    The model checked itself when built, so this only serializes. The objective
+    trace is training telemetry and is not persisted; loads return an empty trace.
     """
-    num_modalities = model.num_modalities
-    if num_modalities < 1:
-        raise ShapeError("model has no modalities")
-    if np.shape(model.train_weights) != (num_modalities,):
-        raise ShapeError(
-            f"train weights of shape {np.shape(model.train_weights)} "
-            f"for {num_modalities} modalities"
-        )
-    problem = _unusable_model_value(model)
-    if problem:
-        raise InvalidParameterError(f"model {problem}")
     num_anchors = model.projections[0].shape[1]
-    for proj in model.projections:
-        if proj.shape != (model.code_length, num_anchors):
-            raise ShapeError(
-                f"projection shape {proj.shape} differs from "
-                f"({model.code_length}, {num_anchors})"
-            )
     parts = [
-        struct.pack("<QQQd", num_modalities, model.code_length, num_anchors, model.delta),
+        struct.pack("<QQQd", model.num_modalities, model.code_length, num_anchors, model.delta),
         np.ascontiguousarray(model.train_weights, dtype="<f8"),
     ]
-    for m in range(num_modalities):
-        anchor_set = model.anchor_sets[m]
+    for anchor_set, proj in zip(model.anchor_sets, model.projections):
         anchors = np.ascontiguousarray(anchor_set.anchors, dtype="<f8")
-        if anchors.shape[1] != num_anchors:
-            raise ShapeError(
-                f"anchor set {m} holds {anchors.shape[1]} anchors, "
-                f"expected {num_anchors}"
-            )
         parts.append(
             struct.pack("<QdQ", anchors.shape[0], anchor_set.kernel_width, anchor_set.seed)
         )
         parts.append(anchors)
-        parts.append(np.ascontiguousarray(model.projections[m], dtype="<f8"))
+        parts.append(np.ascontiguousarray(proj, dtype="<f8"))
     _write_file(path, KIND_MODEL, *parts)
 
 
 def load_model(path) -> TrainedModel:
-    """Read a kind-3 AMFH file. A train weight, kernel width or delta that is
-    not finite and positive raises ``CorruptFileError``."""
+    """Read a kind-3 AMFH file. A model its constructors reject raises
+    ``CorruptFileError`` naming the file."""
     cur = _read_file(path, KIND_MODEL)
     num_modalities = cur.u64()
     code_length = cur.u64()
     num_anchors = cur.u64()
     delta = cur.f64()
-    if num_modalities < 1 or code_length < 1 or num_anchors < 1:
-        raise CorruptFileError(f"{path}: non-positive model dimensions")
     weights = cur.f64_array(num_modalities)
-    projections = []
-    anchor_sets = []
-    for m in range(num_modalities):
-        dim = cur.u64()
-        kernel_width = cur.f64()
-        seed = cur.u64()
-        if dim < 1:
-            raise CorruptFileError(f"{path}: non-positive anchor dimensionality")
-        anchors = cur.f64_array(dim * num_anchors).reshape(dim, num_anchors)
-        proj = cur.f64_array(code_length * num_anchors).reshape(
-            code_length, num_anchors
-        )
-        anchor_sets.append(
-            AnchorSet(
-                anchors=anchors,
-                kernel_width=kernel_width,
-                modality_index=m,
-                seed=seed,
-            )
-        )
-        projections.append(proj)
-    cur.done()
-    model = TrainedModel(
-        projections=projections,
-        anchor_sets=anchor_sets,
-        train_weights=weights,
-        delta=delta,
-        objective_trace=[],
-        converged=True,
-    )
-    problem = _unusable_model_value(model)
-    if problem:
-        raise CorruptFileError(f"{path}: {problem}")
-    return model
+    try:
+        projections = []
+        anchor_sets = []
+        for m in range(num_modalities):
+            dim = cur.u64()
+            kernel_width = cur.f64()
+            seed = cur.u64()
+            anchors = cur.f64_array(dim, num_anchors)
+            anchor_sets.append(AnchorSet(anchors, kernel_width, modality_index=m, seed=seed))
+            projections.append(cur.f64_array(code_length, num_anchors))
+        cur.done()
+        return TrainedModel(projections, anchor_sets, weights, delta)
+    except (InvalidParameterError, ShapeError, NumericalError) as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc
 
 
 def store_bundle(bundle: DatasetBundle, directory) -> None:

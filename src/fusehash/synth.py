@@ -9,6 +9,7 @@ are cut by ``encoding._split_batches``, the splitter of every stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ from .exceptions import InvalidParameterError
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generation parameters; one spread per modality (a scalar broadcasts)."""
+    """Generation parameters; one spread per modality (a scalar broadcasts).
+    Building one outside its domain raises :class:`InvalidParameterError`."""
 
     num_classes: int
     samples_per_class: int
@@ -40,7 +42,7 @@ class SynthSpec:
         query = round(self.query_fraction * self.samples_per_class)
         return train, query, self.samples_per_class - train - query
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_classes < 2:
             raise InvalidParameterError(
                 f"need at least 2 classes, got {self.num_classes}"
@@ -58,8 +60,11 @@ class SynthSpec:
             raise InvalidParameterError(
                 f"{len(spreads)} spreads for {len(self.modality_dims)} modalities"
             )
-        if any(s < 0 for s in spreads):
-            raise InvalidParameterError(f"spreads must be non-negative, got {spreads}")
+        if not all(0 <= s < math.inf for s in spreads):
+            raise InvalidParameterError(f"spreads must be finite and non-negative, got {spreads}")
+        fractions = (self.train_fraction, self.query_fraction)
+        if not all(0 <= f <= 1 for f in fractions):
+            raise InvalidParameterError(f"split fractions must lie in [0, 1], got {fractions}")
         if any(count < 1 for count in self.split_sizes()):
             raise InvalidParameterError(
                 "split fractions leave an empty train, query, or retrieval split"
@@ -93,7 +98,6 @@ def generate_synthetic(spec: SynthSpec) -> DatasetBundle:
     Splits are stratified: every class contributes the same train/query/
     retrieval counts, disjoint and jointly covering all samples.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     k = spec.num_classes
     per_class = spec.samples_per_class

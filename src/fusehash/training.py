@@ -10,10 +10,12 @@ over column blocks of the kernel map, and the residual norms come from
 those statistics, so training never holds a ``(p, n)`` kernel matrix.
 
 This module only trains; every encoder lives in :mod:`fusehash.encoding`.
+Its two types check themselves when built, and no stage checks them again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,27 +52,27 @@ def _settled(previous: float, value: float) -> bool:
     return abs(previous - value) <= REL_TOL * max(abs(previous), 1e-300)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of the offline training stage."""
+    """Knobs of the offline training stage, checked when built."""
 
     delta: float = 1e-3
     seed: int = 0
     num_anchors: int = 1000  # clamped to the training-set size
 
-    def validate(self) -> None:
-        if self.delta <= 0:
-            raise InvalidParameterError(f"delta must be positive, got {self.delta}")
+    def __post_init__(self):
+        if not 0 < self.delta < math.inf:
+            raise InvalidParameterError(f"delta must be finite and positive, got {self.delta}")
         if self.num_anchors < 1:
             raise InvalidParameterError(
                 f"num_anchors must be positive, got {self.num_anchors}"
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
-    """Frozen output of :func:`fit`; treat as immutable after training.
-    Its code length and modality count are read from the projections."""
+    """Output of :func:`fit`, valid by construction: encoders and storage
+    trust it. Its code length and modality count are read from the projections."""
 
     projections: list[np.ndarray]  # per modality, (r, p)
     anchor_sets: list[AnchorSet]
@@ -82,10 +84,38 @@ class TrainedModel:
     def __post_init__(self):
         # An anchor set's modality is its position here; errors name it from
         # the set, so a hand-built set keeps no stale default index.
-        self.anchor_sets = [
+        object.__setattr__(self, "anchor_sets", [
             s if s.modality_index == m else replace(s, modality_index=m)
             for m, s in enumerate(self.anchor_sets)
+        ])
+        num_modalities = len(self.projections)
+        if num_modalities < 1:
+            raise ShapeError("model has no modalities")
+        if len(self.anchor_sets) != num_modalities:
+            count = len(self.anchor_sets)
+            raise ShapeError(f"{count} anchor sets for {num_modalities} projections")
+        if np.shape(self.train_weights) != (num_modalities,):
+            raise ShapeError(
+                f"train weights of shape {np.shape(self.train_weights)} "
+                f"for {num_modalities} modalities"
+            )
+        values = [
+            *((f"modality {m} train weight", w) for m, w in enumerate(self.train_weights)),
+            ("delta", self.delta),
         ]
+        for name, value in values:
+            if not 0 < value < math.inf:
+                raise InvalidParameterError(f"{name} {value} is not finite and positive")
+        shape = np.shape(self.projections[0])
+        if len(shape) != 2 or shape[0] < 1:
+            raise ShapeError(f"projection shape {shape} is not (r, p) with r >= 1")
+        for m, (proj, anchor_set) in enumerate(zip(self.projections, self.anchor_sets)):
+            if np.shape(proj) != shape:
+                raise ShapeError(f"projection shape {np.shape(proj)} differs from {shape}")
+            count = np.shape(anchor_set.anchors)[1]
+            if count != shape[1]:
+                raise ShapeError(f"anchor set {m} holds {count} anchors, expected {shape[1]}")
+            require_finite(proj, f"modality {m} projection entries")
 
     @property
     def num_modalities(self) -> int:
@@ -238,7 +268,6 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     weights.
     """
     config = TrainConfig() if config is None else config
-    config.validate()
     mats = [np.asarray(f, dtype=np.float64) for f in features]
     if not mats:
         raise InvalidParameterError("need at least one modality")

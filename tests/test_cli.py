@@ -99,6 +99,26 @@ class TestSynth:
             assert (out / name).is_file()
 
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--spread", "nan", "spreads must be finite and non-negative, got (nan, nan)"),
+            ("--spread", "0.3,inf", "spreads must be finite and non-negative, got (0.3, inf)"),
+            ("--train-fraction", "nan", "split fractions must lie in [0, 1], got (nan, 0.25)"),
+            ("--query-fraction", "inf", "split fractions must lie in [0, 1], got (0.5, inf)"),
+        ],
+        ids=["spread-nan", "spread-inf", "train-fraction-nan", "query-fraction-inf"],
+    )
+    def test_non_finite_number_is_one_error_line(self, tmp_path, capsys, option, value, message):
+        """Not a bundle of NaN features, nor a traceback from ``round``."""
+        out = tmp_path / "bundle"
+        code, stdout, stderr = run(["synth", option, value, "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: InvalidParameterError: {message}\n"
+        assert not out.exists()
+
+
 class TestListOptions:
     @pytest.mark.parametrize(
         "option, value, message",
@@ -172,6 +192,24 @@ class TestTrain:
         ], capsys)
         assert code == 0
         assert load_model(out).num_modalities == 2
+
+    @pytest.mark.parametrize("delta", ["inf", "nan", "0", "-0.5"])
+    def test_delta_not_finite_and_positive_is_one_error_line(
+        self, workspace, tmp_path, capsys, delta
+    ):
+        """Rejected before training, not after a full run and a warning."""
+        out = tmp_path / "model.amfh"
+        code, stdout, stderr = run([
+            "train", "--bundle", str(workspace["bundle"]), "--bits", "8",
+            "--delta", delta, "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"error: InvalidParameterError: delta must be finite and positive, "
+            f"got {float(delta)}\n"
+        )
+        assert not out.exists()
 
     def test_requires_some_input(self, tmp_path, capsys):
         code, _, stderr = run([

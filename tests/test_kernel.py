@@ -209,16 +209,18 @@ class TestApplyKernel:
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
     def test_rejects_a_non_positive_width(self, width):
-        anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width)
-        with pytest.raises(InvalidParameterError, match="non-positive kernel width"):
-            apply_kernel(np.zeros((3, 5)), anchor_set)
+        with pytest.raises(
+            InvalidParameterError, match=f"^modality 1 kernel width {width} is not finite and positive$"
+        ):
+            AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width, modality_index=1)
 
     @pytest.mark.parametrize("width", [np.inf, np.nan])
     def test_rejects_a_non_finite_width(self, width):
         """An infinite width maps every feature to 1, so all codes agree."""
-        anchor_set = AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width)
-        with pytest.raises(InvalidParameterError, match="non-finite kernel width"):
-            apply_kernel(np.zeros((3, 5)), anchor_set)
+        with pytest.raises(
+            InvalidParameterError, match=f"^modality 1 kernel width {width} is not finite and positive$"
+        ):
+            AnchorSet(anchors=np.zeros((3, 2)), kernel_width=width, modality_index=1)
 
     @settings(max_examples=100, deadline=None)
     @given(

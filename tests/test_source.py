@@ -1,15 +1,18 @@
-"""Source hygiene: no module of the package imports a name it never reads.
+"""Source hygiene: no module of the package imports a name it never reads,
+and every type that checks its invariant when built is frozen.
 
 ``__init__.py`` is exempt, because its imports are the package's exports, and
 so is an import on a line marked ``# noqa: F401``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import fusehash
+from fusehash import AnchorSet, SynthSpec, TrainConfig, TrainedModel
 
 MODULES = sorted(
     path for path in Path(fusehash.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -48,3 +51,12 @@ def test_finds_an_unused_import():
         "np.zeros(b)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "c (line 4)"]
+
+
+@pytest.mark.parametrize(
+    "cls", [AnchorSet, TrainedModel, TrainConfig, SynthSpec], ids=lambda cls: cls.__name__
+)
+def test_checked_types_are_frozen(cls):
+    """Assigning a field after construction would get round its check."""
+    assert dataclasses.is_dataclass(cls)
+    assert cls.__dataclass_params__.frozen

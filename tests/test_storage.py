@@ -8,6 +8,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fusehash import storage
 
@@ -29,7 +32,12 @@ from fusehash import (
     store_model,
 )
 from fusehash import SynthSpec
-from fusehash.exceptions import CorruptFileError, InvalidParameterError, ShapeError
+from fusehash.exceptions import (
+    CorruptFileError,
+    InvalidParameterError,
+    NumericalError,
+    ShapeError,
+)
 from fusehash.kernel import AnchorSet
 from fusehash.storage import load_labels, read_manifest
 from fusehash.training import TrainedModel
@@ -354,6 +362,25 @@ def framed(kind, payload, version=storage.FORMAT_VERSION):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def model_payload(num_modalities, bits, num_anchors, dim=2, delta=1e-3, weights=None,
+                  widths=None, anchors=None, projections=None):
+    """A kind-3 payload whose arrays match its header: ``dim``-dimensional
+    anchors of ones and projections of ones unless given, weights of
+    ``1/M`` and widths of 1.5 unless given."""
+    if weights is None:
+        weights = [1.0 / max(num_modalities, 1)] * num_modalities
+    payload = struct.pack("<QQQd", num_modalities, bits, num_anchors, delta)
+    payload += np.array(weights, dtype="<f8").tobytes()
+    for m in range(num_modalities):
+        width = 1.5 if widths is None else widths[m]
+        payload += struct.pack("<QdQ", dim, width, 0)
+        anchor_values = np.ones(dim * num_anchors) if anchors is None else anchors[m]
+        proj_values = np.ones(bits * num_anchors) if projections is None else projections[m]
+        payload += np.asarray(anchor_values, dtype="<f8").tobytes()
+        payload += np.asarray(proj_values, dtype="<f8").tobytes()
+    return payload
+
+
 class TestFrameRejections:
     """Each check of the frame and of the payload's declared sizes, on a file
     whose CRC is valid, so the check itself is what rejects it."""
@@ -418,56 +445,79 @@ class TestFrameRejections:
             load_centers(path)
 
     @pytest.mark.parametrize(
-        "dims", [(0, 4, 3), (1, 0, 3), (1, 4, 0)], ids=["modalities", "bits", "anchors"]
+        "dims, message",
+        [
+            ((0, 4, 3), "model has no modalities"),
+            ((1, 0, 3), "projection shape (0, 3) is not (r, p) with r >= 1"),
+            ((1, 4, 0), "anchors of shape (2, 0) are not a (d, p) matrix with d, p >= 1"),
+        ],
+        ids=["modalities", "bits", "anchors"],
     )
-    def test_non_positive_model_dimensions(self, tmp_path, dims):
+    def test_non_positive_model_dimensions(self, tmp_path, dims, message):
+        """A file whose arrays match its header, so the model's constructor is
+        what rejects the dimension."""
         path = tmp_path / "model.amfh"
-        path.write_bytes(framed(storage.KIND_MODEL, struct.pack("<QQQd", *dims, 1e-3)))
-        with pytest.raises(CorruptFileError, match="non-positive model dimensions"):
+        path.write_bytes(framed(storage.KIND_MODEL, model_payload(*dims)))
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(path)
 
     def test_non_positive_anchor_dimensionality(self, tmp_path):
         path = tmp_path / "model.amfh"
-        payload = struct.pack("<QQQd", 1, 4, 3, 1e-3) + np.ones(1).tobytes()
-        path.write_bytes(framed(storage.KIND_MODEL, payload + struct.pack("<QdQ", 0, 1.5, 0)))
-        with pytest.raises(CorruptFileError, match="non-positive anchor dimensionality"):
+        path.write_bytes(framed(storage.KIND_MODEL, model_payload(1, 4, 3, dim=0)))
+        message = f"{path}: anchors of shape (0, 3) are not a (d, p) matrix with d, p >= 1"
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(message)}$"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind", ["features", "model"])
+    def test_empty_matrix_with_a_side_numpy_cannot_hold(self, tmp_path, kind):
+        """0 x (2**64 - 1) values fit in no bytes, but numpy cannot shape
+        them; the file is corrupt, not a ``ValueError`` from ``reshape``."""
+        path = tmp_path / f"{kind}.amfh"
+        if kind == "features":
+            path.write_bytes(framed(storage.KIND_FEATURES, struct.pack("<QQ", 0, 2**64 - 1)))
+        else:
+            path.write_bytes(framed(storage.KIND_MODEL, model_payload(1, 0, 2**64 - 1, dim=0)))
+        message = f"{path}: array shape (0, {2**64 - 1}) too large"
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(message)}$"):
+            (load_features if kind == "features" else load_model)(path)
 
 
 class TestStoreModelShapes:
-    def model(self, projections, anchors):
+    """A model whose shapes disagree is rejected when it is built, so no
+    store can write a file that ``load_model`` would reject."""
+
+    def model(self, projections, anchors, weights=None):
         return TrainedModel(
             projections=projections,
             anchor_sets=[AnchorSet(a, 1.5) for a in anchors],
-            train_weights=np.full(len(projections), 1.0 / max(len(projections), 1)),
+            train_weights=(
+                np.full(len(projections), 1.0 / max(len(projections), 1))
+                if weights is None else weights
+            ),
             delta=1e-3,
         )
 
-    def test_no_modalities(self, tmp_path):
-        with pytest.raises(ShapeError, match="no modalities"):
-            store_model(self.model([], []), tmp_path / "model.amfh")
-        assert not (tmp_path / "model.amfh").exists()
+    def test_no_modalities(self):
+        with pytest.raises(ShapeError, match="^model has no modalities$"):
+            self.model([], [])
 
-    def test_projections_of_different_shapes(self, tmp_path):
-        model = self.model([np.ones((4, 3)), np.ones((4, 5))], [np.ones((2, 3)), np.ones((2, 5))])
+    def test_projections_of_different_shapes(self):
         with pytest.raises(ShapeError, match=r"projection shape \(4, 5\) differs from \(4, 3\)"):
-            store_model(model, tmp_path / "model.amfh")
-        assert not (tmp_path / "model.amfh").exists()
+            self.model([np.ones((4, 3)), np.ones((4, 5))], [np.ones((2, 3)), np.ones((2, 5))])
 
-    def test_weight_count_differs_from_the_modalities(self, tmp_path):
+    def test_weight_count_differs_from_the_modalities(self):
         """Three weights for two modalities would write a file that
         ``load_model`` rejects as shorter than its header declares."""
-        model = self.model([np.ones((4, 3))] * 2, [np.ones((2, 3))] * 2)
-        model.train_weights = np.array([0.2, 0.3, 0.5])
         with pytest.raises(ShapeError, match=r"train weights of shape \(3,\) for 2 modalities"):
-            store_model(model, tmp_path / "model.amfh")
-        assert not (tmp_path / "model.amfh").exists()
+            self.model([np.ones((4, 3))] * 2, [np.ones((2, 3))] * 2, np.array([0.2, 0.3, 0.5]))
 
-    def test_anchor_count_differs_from_the_projections(self, tmp_path):
-        model = self.model([np.ones((4, 3))], [np.ones((2, 5))])
+    def test_anchor_count_differs_from_the_projections(self):
         with pytest.raises(ShapeError, match="anchor set 0 holds 5 anchors, expected 3"):
-            store_model(model, tmp_path / "model.amfh")
-        assert not (tmp_path / "model.amfh").exists()
+            self.model([np.ones((4, 3))], [np.ones((2, 5))])
+
+    def test_anchor_set_count_differs_from_the_projections(self):
+        with pytest.raises(ShapeError, match="^1 anchor sets for 2 projections$"):
+            self.model([np.ones((4, 3))] * 2, [np.ones((2, 3))], np.array([0.5, 0.5]))
 
 
 class TestModelValues:
@@ -498,10 +548,9 @@ class TestModelValues:
     @pytest.mark.parametrize("field, value, message", CASES, ids=IDS)
     def test_load_rejects_the_file(self, tmp_path, field, value, message):
         values = self.values(field, value)
-        payload = struct.pack("<QQQd", 2, 4, 3, values["delta"])
-        payload += np.array(values["weights"], dtype="<f8").tobytes()
-        for width in values["widths"]:
-            payload += struct.pack("<QdQ", 2, width, 0) + np.ones(2 * 3 + 4 * 3).tobytes()
+        payload = model_payload(
+            2, 4, 3, delta=values["delta"], weights=values["weights"], widths=values["widths"]
+        )
         path = tmp_path / "model.amfh"
         path.write_bytes(framed(storage.KIND_MODEL, payload))
         expected = f"^{re.escape(f'{path}: {message} is not finite and positive')}$"
@@ -509,18 +558,150 @@ class TestModelValues:
             load_model(path)
 
     @pytest.mark.parametrize("field, value, message", CASES, ids=IDS)
-    def test_store_rejects_the_model_before_writing(self, tmp_path, field, value, message):
+    def test_store_rejects_the_model_before_writing(self, field, value, message):
+        """The model is rejected when it is built, before any store."""
         values = self.values(field, value)
-        model = TrainedModel(
-            projections=[np.ones((4, 3)), np.ones((4, 3))],
-            anchor_sets=[AnchorSet(np.ones((2, 3)), width) for width in values["widths"]],
-            train_weights=np.array(values["weights"]),
-            delta=values["delta"],
-        )
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)} is not finite"):
+            TrainedModel(
+                projections=[np.ones((4, 3)), np.ones((4, 3))],
+                anchor_sets=[
+                    AnchorSet(np.ones((2, 3)), width, modality_index=m)
+                    for m, width in enumerate(values["widths"])
+                ],
+                train_weights=np.array(values["weights"]),
+                delta=values["delta"],
+            )
+
+    @pytest.mark.parametrize("modality", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["anchors", "projections"])
+    def test_load_rejects_non_finite_arrays(self, tmp_path, array, bad, modality):
+        """Such a model would load and then fail every encode."""
+        values = [np.ones(2 * 3), np.ones(4 * 3)]
+        arrays = {"anchors": [values[0].copy(), values[0].copy()],
+                  "projections": [values[1].copy(), values[1].copy()]}
+        arrays[array][modality][4] = bad
         path = tmp_path / "model.amfh"
-        with pytest.raises(InvalidParameterError, match=f"^model {re.escape(message)} is not"):
-            store_model(model, path)
-        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(framed(storage.KIND_MODEL, model_payload(2, 4, 3, **arrays)))
+        noun = "anchors" if array == "anchors" else "projection entries"
+        message = f"{path}: modality {modality} {noun} hold a NaN or an infinity"
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+UNUSABLE = st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf])
+
+
+@st.composite
+def model_fields(draw):
+    """The fields of a valid model: finite arrays of agreeing shapes, and
+    finite, positive weights, widths and delta."""
+    count = draw(st.integers(1, 3))
+    bits, num_anchors = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def matrix(rows):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        return draw(hnp.arrays(np.float64, (rows, num_anchors), elements=finite))
+
+    return {
+        "projections": [matrix(bits) for _ in range(count)],
+        "anchors": [matrix(draw(st.integers(1, 4))) for _ in range(count)],
+        "widths": draw(st.lists(POSITIVE, min_size=count, max_size=count)),
+        "seeds": draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count)),
+        "weights": np.array(draw(st.lists(POSITIVE, min_size=count, max_size=count))),
+        "delta": draw(POSITIVE),
+    }
+
+
+def build_model(fields):
+    return TrainedModel(
+        projections=fields["projections"],
+        anchor_sets=[
+            AnchorSet(a, width, seed=seed)
+            for a, width, seed in zip(fields["anchors"], fields["widths"], fields["seeds"])
+        ],
+        train_weights=fields["weights"],
+        delta=fields["delta"],
+    )
+
+
+class TestModelInvariant:
+    """A model checks itself when it is built, and storage only serializes:
+    whatever builds stores and reloads unchanged, and no single bad field
+    builds."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(fields=model_fields())
+    def test_every_model_that_builds_stores_and_reloads_equal(self, tmp_path, fields):
+        model = build_model(fields)
+        path = tmp_path / "model.amfh"
+        store_model(model, path)
+        loaded = load_model(path)
+        assert loaded.delta == model.delta
+        assert loaded.train_weights.tobytes() == model.train_weights.tobytes()
+        for got, want in zip(loaded.projections, model.projections):
+            assert got.tobytes() == want.tobytes()  # -0.0 stays -0.0
+        for m, (got, want) in enumerate(zip(loaded.anchor_sets, model.anchor_sets)):
+            assert got.anchors.tobytes() == want.anchors.tobytes()
+            assert (got.kernel_width, got.seed, got.modality_index) == (
+                want.kernel_width, want.seed, m
+            )
+        stored = path.read_bytes()
+        store_model(loaded, path)
+        assert path.read_bytes() == stored
+
+    # The error each single-field corruption of ``corrupt`` must raise.
+    CORRUPTIONS = {
+        "weight": InvalidParameterError,
+        "width": InvalidParameterError,
+        "delta": InvalidParameterError,
+        "weight-count": ShapeError,
+        "anchor-set-count": ShapeError,
+        "projection-columns": ShapeError,
+        "anchor-columns": ShapeError,
+        "no-code-bits": ShapeError,
+        "nan-anchor": NumericalError,
+        "nan-projection": NumericalError,
+    }
+
+    @staticmethod
+    def corrupt(fields, name, m, bad):
+        """Break one field of ``fields``, at modality ``m`` where it has one;
+        ``bad`` is a value that is not finite and positive."""
+        anchors, projections = fields["anchors"], fields["projections"]
+        if name == "weight":
+            fields["weights"][m] = bad
+        elif name == "width":
+            fields["widths"][m] = bad
+        elif name == "delta":
+            fields["delta"] = bad
+        elif name == "weight-count":
+            fields["weights"] = np.append(fields["weights"], 0.5)
+        elif name == "anchor-set-count":
+            for key in ("anchors", "widths", "seeds"):
+                del fields[key][m]
+        elif name == "projection-columns":
+            projections[m] = np.hstack([projections[m], projections[m][:, :1]])
+        elif name == "anchor-columns":
+            anchors[m] = np.hstack([anchors[m], anchors[m][:, :1]])
+        elif name == "no-code-bits":
+            fields["projections"] = [proj[:0] for proj in projections]
+        elif name == "nan-anchor":
+            anchors[m].flat[0] = np.nan
+        elif name == "nan-projection":
+            projections[m].flat[0] = np.nan
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @settings(max_examples=30, deadline=None)
+    @given(fields=model_fields(), data=st.data())
+    def test_each_single_field_corruption_fails_at_construction(self, corruption, fields, data):
+        modality = data.draw(st.integers(0, len(fields["projections"]) - 1))
+        self.corrupt(fields, corruption, modality, data.draw(UNUSABLE))
+        with pytest.raises(self.CORRUPTIONS[corruption]):
+            build_model(fields)
 
 
 class TestBundleRejections:

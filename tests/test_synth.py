@@ -35,18 +35,23 @@ class TestSynthSpec:
         assert train + query + retrieval == spec.samples_per_class
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            small_spec(num_classes=1).validate()
-        with pytest.raises(InvalidParameterError):
-            small_spec(samples_per_class=0).validate()
-        with pytest.raises(InvalidParameterError):
-            small_spec(modality_dims=()).validate()
-        with pytest.raises(InvalidParameterError):
-            small_spec(cluster_spread=(0.1,)).validate()
-        with pytest.raises(InvalidParameterError):
-            small_spec(cluster_spread=-0.5).validate()
-        with pytest.raises(InvalidParameterError):
-            small_spec(train_fraction=1.0).validate()
+        """Construction rejects each; a non-finite spread or fraction would
+        otherwise write NaN features or fail inside ``round``."""
+        for overrides in [
+            dict(num_classes=1),
+            dict(samples_per_class=0),
+            dict(modality_dims=()),
+            dict(cluster_spread=(0.1,)),
+            dict(cluster_spread=-0.5),
+            dict(cluster_spread=np.nan),
+            dict(cluster_spread=(0.3, np.inf)),
+            dict(train_fraction=1.0),
+            dict(train_fraction=np.nan),
+            dict(query_fraction=np.inf),
+            dict(query_fraction=-0.25),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                small_spec(**overrides)
 
 
 class TestGenerateSynthetic:

@@ -369,6 +369,16 @@ class TestFit:
         with pytest.raises(NumericalError, match="modality 1 kernel features"):
             fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
 
+    def test_features_too_far_apart_for_a_width_raise(self):
+        """At 1e160 the anchors' squared distances overflow float64: the
+        width would be infinite. Fit names the modality, and numpy prints no
+        overflow warning first."""
+        rng = np.random.default_rng(0)
+        feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * 1e160]
+        labels = [{i % 4} for i in range(200)]
+        with pytest.raises(NumericalError, match="^modality 1 features lie too far apart"):
+            fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
+
     def test_features_at_1e17_still_train(self):
         rng = np.random.default_rng(0)
         feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * 1e17]
@@ -432,8 +442,16 @@ class TestFit:
         assert not model.converged and len(model.objective_trace) == 2
 
     def test_rejects_bad_config(self):
-        with pytest.raises(InvalidParameterError):
-            TrainConfig(delta=0.0).validate()
+        """Construction rejects each, so ``fit`` never trains with them."""
+        for overrides in [
+            dict(delta=0.0),
+            dict(delta=-1e-3),
+            dict(delta=np.inf),
+            dict(delta=np.nan),
+            dict(num_anchors=0),
+        ]:
+            with pytest.raises(InvalidParameterError, match="must be"):
+                TrainConfig(**overrides)
 
 
 # Small enough that a few dozen columns span several kernel blocks.
