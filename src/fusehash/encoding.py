@@ -28,12 +28,12 @@ from .exceptions import (
 )
 from .kernel import _sample_count, apply_kernel
 from .packing import sign_to_pm1
-from .training import TrainedModel, _settled, update_weights
+from .training import TrainedModel, update_weights
 
 ENCODE_MODES = ("adaptive", "fixed")
 
-# Cap on the adaptive encoder's sign steps; its relative stop is training's
-# ``_settled``.
+# Cap on the adaptive encoder's sign steps, which otherwise stop only at a
+# code or weight fixpoint.
 MAX_ITERS = 30
 
 
@@ -152,9 +152,9 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     from the per-modality residual norms; the objective
     ``sum_m ||codes - P_m||^2 / w_m`` comes from the same residuals. Both
     steps solve their subproblem exactly, so the recorded objective never
-    increases. Stops on a code or weight fixpoint, on a relative objective
-    change of at most ``training.REL_TOL`` (training's ``_settled``), or
-    after ``MAX_ITERS`` sign steps.
+    increases. Stops when the sign step returns the codes it holds or the
+    weight step the weights it holds, so the returned pair solves both
+    subproblems, or after ``MAX_ITERS`` sign steps.
     """
     present, projected = _project_batch(model, batch)
 
@@ -173,13 +173,10 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
         squared = _squared_residuals(present, projected, codes, scratch)
         new_weights = np.zeros(model.num_modalities)
         new_weights[present] = update_weights(np.sqrt(squared))
-        value = float((squared / new_weights[present]).sum())
-        trace.append(value)
+        trace.append(float((squared / new_weights[present]).sum()))
         if np.array_equal(new_weights, weights):
             break
         weights = new_weights
-        if len(trace) > 1 and _settled(trace[-2], value):
-            break
 
     return EncodeResult(
         codes=codes,

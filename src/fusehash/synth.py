@@ -144,14 +144,13 @@ def make_noisy_stream(
 
     The corrupted modality cycles with the batch index; it receives additive
     Gaussian noise scaled by ``noise_scale`` times the modality's overall
-    standard deviation. Every modality must be present. Returns the batches
-    and the per-batch corrupted modality index.
+    standard deviation. Every modality must be present, and ``noise_scale``
+    finite and non-negative; ``_split_batches`` checks ``batch_size``.
+    Returns the batches and the per-batch corrupted modality index.
     """
-    if batch_size < 1:
-        raise InvalidParameterError(f"batch_size must be positive, got {batch_size}")
-    if noise_scale < 0:
+    if not 0 <= noise_scale < math.inf:
         raise InvalidParameterError(
-            f"noise_scale must be non-negative, got {noise_scale}"
+            f"noise_scale must be finite and non-negative, got {noise_scale}"
         )
     mats = [None if f is None else np.asarray(f, dtype=np.float64) for f in features]
     if not mats or any(mat is None for mat in mats):

@@ -41,15 +41,9 @@ NEAR_EXACT_SHARE = 1e-10
 
 # Stopping rule of training: at most MAX_ITERS iterations, and a stop once
 # the objective changes by at most REL_TOL of its previous value. The
-# adaptive encoder stops on the same relative change, with its own cap.
+# adaptive encoder has no relative stop; it stops only at a fixpoint.
 MAX_ITERS = 50
 REL_TOL = 1e-5
-
-
-def _settled(previous: float, value: float) -> bool:
-    """Whether the objective moved from ``previous`` to ``value`` by at most
-    ``REL_TOL`` of ``previous``: the relative stop of both alternations."""
-    return abs(previous - value) <= REL_TOL * max(abs(previous), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -251,7 +245,7 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
     samples; ``labels`` one label set per sample. Weights start uniform;
     each iteration refits every projection, rebalances the weights, and
     appends the objective to the trace. Stops when the relative objective
-    change is at most ``REL_TOL`` (:func:`_settled`) or after ``MAX_ITERS``
+    change is at most ``REL_TOL`` of its previous value or after ``MAX_ITERS``
     iterations. Deterministic for fixed inputs and seeds. Raises
     :class:`NumericalError` naming the modality when a training feature is
     NaN or infinite, or when features so far apart that the float32 map
@@ -308,11 +302,10 @@ def fit(features, labels, centers: HashCenterTable, config: TrainConfig | None =
         ]
         weights = update_weights(np.sqrt(squared_residuals))
         value = _objective_value(squared_residuals, projections, weights, config.delta)
-        if trace and _settled(trace[-1], value):
-            trace.append(value)
+        trace.append(value)
+        if len(trace) > 1 and abs(trace[-2] - value) <= REL_TOL * max(abs(trace[-2]), 1e-300):
             converged = True
             break
-        trace.append(value)
 
     return TrainedModel(
         projections=projections,

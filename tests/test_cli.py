@@ -176,6 +176,20 @@ class TestTrain:
         assert sum(weights) == pytest.approx(1.0, abs=1e-5)
         assert load_model(out).code_length == 8
 
+    @pytest.mark.parametrize("anchors, want", [(5, 5), (100, 40)], ids=["five", "clamped"])
+    def test_anchors_flag_sets_the_anchor_count(self, workspace, capsys, tmp_path, anchors, want):
+        """``--anchors`` sets p, clamped to the 40 training samples."""
+        out = tmp_path / "model.amfh"
+        code, stdout, _ = run([
+            "train", "--bundle", str(workspace["bundle"]), "--bits", "8", "--seed", "3",
+            "--anchors", str(anchors), "--out", str(out),
+        ], capsys)
+        assert code == 0
+        assert parse_kv_line(stdout.strip())["anchors"] == str(want)
+        model = load_model(out)
+        assert [proj.shape[1] for proj in model.projections] == [want, want]
+        assert [s.anchors.shape[1] for s in model.anchor_sets] == [want, want]
+
     def test_file_training_derives_classes_from_labels(self, tmp_path, capsys):
         from fusehash import store_features
 
@@ -525,6 +539,75 @@ class TestEval:
         assert int(pairs["num_queries"]) == 20
         assert "ap[0]" in pairs
 
+    def eval_report(self, capsys, tmp_path, argv):
+        """Run ``eval`` with ``--out`` and return its key-value report."""
+        report_file = tmp_path / "report.txt"
+        code, _, stderr = run(["eval", *argv, "--out", str(report_file)], capsys)
+        assert (code, stderr) == (0, "")
+        return dict(line.split(" ", 1) for line in report_file.read_text().splitlines())
+
+    @pytest.mark.parametrize(
+        "codes, query_split, db_split",
+        [("query_codes", "query", "all"), ("all", "all", "retrieval"), ("all", "all", "all")],
+    )
+    def test_splits_select_the_labels(
+        self, workspace, capsys, tmp_path, codes, query_split, db_split
+    ):
+        """``--query-split`` and ``--db-split`` label codes encoded from those
+        splits, here a database (or queries) from ``encode --split all``."""
+        from fusehash import load_bundle, mean_average_precision
+
+        all_codes = tmp_path / "all.amfh"
+        assert main([
+            "encode", "--model", str(workspace["model"]), "--bundle", str(workspace["bundle"]),
+            "--split", "all", "--mode", "fixed", "--out", str(all_codes),
+        ]) == 0
+        capsys.readouterr()
+        files = {"query_codes": workspace["query_codes"], "all": all_codes}
+        db_file = {"retrieval": workspace["db_codes"], "all": all_codes}[db_split]
+        pairs = self.eval_report(capsys, tmp_path, [
+            "--queries", str(files[codes]), "--db", str(db_file),
+            "--bundle", str(workspace["bundle"]),
+            "--query-split", query_split, "--db-split", db_split,
+        ])
+        bundle = load_bundle(workspace["bundle"])
+        indices = {
+            "query": bundle.query_indices,
+            "retrieval": bundle.retrieval_indices,
+            "all": np.arange(bundle.num_samples),
+        }
+        want = mean_average_precision(
+            load_codes(files[codes]), bundle.labels_at(indices[query_split]),
+            load_codes(db_file), bundle.labels_at(indices[db_split]),
+        )
+        assert int(pairs["num_queries"]) == len(indices[query_split])
+        assert int(pairs["cutoff"]) == len(indices[db_split])
+        assert pairs["map"] == f"{want.map:.12g}"
+
+    def test_cutoff_scores_the_top_k(self, workspace, capsys, tmp_path):
+        """Random query codes rank the database imperfectly, so the mAP at
+        ``--cutoff 3`` differs from the full-ranking mAP, and equals
+        ``mean_average_precision`` at that cutoff."""
+        from fusehash import load_bundle, mean_average_precision, sign_to_pm1
+
+        queries = tmp_path / "random.amfh"
+        store_codes(sign_to_pm1(np.random.default_rng(9).standard_normal((8, 20))), queries)
+        argv = [
+            "--queries", str(queries), "--db", str(workspace["db_codes"]),
+            "--bundle", str(workspace["bundle"]),
+        ]
+        pairs = self.eval_report(capsys, tmp_path, [*argv, "--cutoff", "3"])
+        bundle = load_bundle(workspace["bundle"])
+        args = (
+            load_codes(queries), bundle.labels_at(bundle.query_indices),
+            load_codes(workspace["db_codes"]), bundle.labels_at(bundle.retrieval_indices),
+        )
+        want = mean_average_precision(*args, cutoff=3)
+        assert pairs["cutoff"] == "3"
+        assert pairs["map"] == f"{want.map:.12g}"
+        assert want.map != mean_average_precision(*args).map
+        assert self.eval_report(capsys, tmp_path, argv)["cutoff"] == "20"
+
     def test_label_file_eval(self, workspace, capsys, tmp_path):
         from fusehash import load_bundle
 
@@ -639,6 +722,62 @@ class TestBenchAndStudies:
             assert 0.0 <= float(values["map"]) <= 1.0
         assert deltas == list(bench.DELTA_SWEEP)
         assert lines[-1].startswith("map_range=")
+
+    def test_sweep_delta_cutoff(self, capsys, tmp_path):
+        """On clusters wide enough to rank imperfectly, ``--cutoff 3`` gives
+        ``bench.sweep_delta``'s scores at that cutoff, not the full-ranking ones."""
+        from fusehash import load_bundle
+
+        bundle_dir = tmp_path / "wide"
+        assert main([
+            "synth", "--classes", "4", "--per-class", "20", "--dims", "8,4",
+            "--spread", "1.5", "--seed", "3", "--out", str(bundle_dir),
+        ]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run([
+            "sweep-delta", "--bundle", str(bundle_dir), "--bits", "8", "--seed", "3",
+            "--cutoff", "3",
+        ], capsys)
+        assert code == 0
+        bundle = load_bundle(bundle_dir)
+        want = bench.sweep_delta(bundle, 8, seed=3, cutoff=3)
+        assert stdout.splitlines()[:-1] == [f"delta={d:g} map={m:.6f}" for d, m in want]
+        assert want != bench.sweep_delta(bundle, 8, seed=3)
+
+    def test_ablate_cutoff(self, workspace, capsys):
+        """``--cutoff 3`` gives ``bench.run_ablation``'s mAPs at that cutoff,
+        which differ from the full-ranking ones on this noisy stream."""
+        from fusehash import TrainConfig, load_bundle
+
+        code, stdout, _ = run([
+            "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",
+            "--seed", "3", "--cutoff", "3",
+        ], capsys)
+        assert code == 0
+        values = parse_kv_line(stdout.strip())
+        bundle = load_bundle(workspace["bundle"])
+        model, _ = bench.train_on_bundle(bundle, 8, TrainConfig(seed=3))
+        want = bench.run_ablation(model, bundle, seed=3, cutoff=3)
+        full = bench.run_ablation(model, bundle, seed=3)
+        assert values["adaptive_map"] == f"{want.adaptive_map:.6f}"
+        assert values["fixed_map"] == f"{want.fixed_map:.6f}"
+        assert (want.adaptive_map, want.fixed_map) != (full.adaptive_map, full.fixed_map)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-0.5"])
+    def test_noise_scale_not_finite_and_non_negative_is_one_error_line(
+        self, workspace, capsys, scale
+    ):
+        """Named as the bad parameter, not as NaN features of batch 0."""
+        code, stdout, stderr = run([
+            "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",
+            "--seed", "3", "--noise-scale", scale,
+        ], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: InvalidParameterError: noise_scale must be finite and "
+            f"non-negative, got {float(scale)}\n"
+        )
 
     @pytest.mark.parametrize("command", ["train", "sweep-delta", "ablate"])
     def test_unlabelled_bundle_is_a_label_error(self, workspace, capsys, tmp_path, command):

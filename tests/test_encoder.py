@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusehash import (
@@ -54,11 +54,33 @@ def toy_model(rng, code_length, dims, weights=None):
     )
 
 
+def draw_toy_batch(data, num_modalities, batch_size, code_length, seed):
+    """A toy model and a batch of it with a drawn, non-empty set of present
+    modalities, each scaled by its own random factor."""
+    present = data.draw(
+        st.lists(
+            st.integers(0, num_modalities - 1), min_size=1, max_size=num_modalities,
+            unique=True,
+        ).map(sorted)
+    )
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, num_modalities)]
+    model = toy_model(rng, code_length, dims, weights=rng.uniform(0.2, 1.0, num_modalities))
+    batch = QueryBatch(
+        features=[
+            rng.standard_normal((dims[m], batch_size)) * rng.uniform(0.1, 3.0)
+            if m in present else None
+            for m in range(num_modalities)
+        ]
+    )
+    return model, batch
+
+
 def reference_encode(model, batch, max_iters=30):
     """The adaptive encoder spelled out with public pieces: the whole kernel
     map projected at once, one ``np.linalg.norm`` per residual, a
-    pairwise-sum objective, a relative stop at 1e-5, and a cap of
-    ``max_iters`` sign steps (30 unless a test patches
+    pairwise-sum objective, a stop at a code or weight fixpoint, and a cap
+    of ``max_iters`` sign steps (30 unless a test patches
     ``encoding.MAX_ITERS``)."""
     present = batch.present_modalities
     projected = {
@@ -89,8 +111,6 @@ def reference_encode(model, batch, max_iters=30):
         if np.array_equal(new_weights, weights):
             break
         weights = new_weights
-        if len(trace) > 1 and abs(trace[-2] - value) <= 1e-5 * max(abs(trace[-2]), 1e-300):
-            break
     return codes, weights, iterations, trace
 
 
@@ -243,8 +263,9 @@ class TestEncodeAdaptive:
             features=[rng.standard_normal((3, 7)), rng.standard_normal((5, 7))]
         )
         result = encode_adaptive(model, batch)
-        # recompute the fusion at the returned weights; a converged run ends
-        # on a weight or code fixpoint where this sign identity holds
+        # recompute the fusion at the returned weights; the encoder stops
+        # only at a code or weight fixpoint (or its cap), where this sign
+        # identity holds
         fused = None
         for m in range(2):
             scores = model.projections[m] @ apply_kernel(
@@ -270,22 +291,7 @@ class TestEncodeAdaptive:
         """Codes, weights and iterations match the per-step loop bit for
         bit, and the trace to 1e-14 relative, with modalities missing and
         the sign steps capped at ``max_iters``."""
-        present = data.draw(
-            st.lists(
-                st.integers(0, num_modalities - 1), min_size=1, max_size=num_modalities,
-                unique=True,
-            ).map(sorted)
-        )
-        rng = np.random.default_rng(seed)
-        dims = [int(d) for d in rng.integers(1, 6, num_modalities)]
-        model = toy_model(rng, code_length, dims, weights=rng.uniform(0.2, 1.0, num_modalities))
-        batch = QueryBatch(
-            features=[
-                rng.standard_normal((dims[m], batch_size)) * rng.uniform(0.1, 3.0)
-                if m in present else None
-                for m in range(num_modalities)
-            ]
-        )
+        model, batch = draw_toy_batch(data, num_modalities, batch_size, code_length, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoding, "MAX_ITERS", max_iters)
             result = encode_adaptive(model, batch)
@@ -294,6 +300,39 @@ class TestEncodeAdaptive:
         assert result.dynamic_weights.tobytes() == weights.tobytes()
         assert result.iterations == iterations
         np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-14, atol=0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        num_modalities=st.integers(1, 3),
+        batch_size=st.integers(1, 200),
+        code_length=st.sampled_from([4, 16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_returns_a_joint_fixed_point(
+        self, num_modalities, batch_size, code_length, seed, data
+    ):
+        """A result stopped before ``MAX_ITERS`` solves both subproblems: its
+        codes are ``sgn(sum_m P_m / mu_m)`` at its weights ``mu``, and its
+        weights are the normalized residual norms at its codes."""
+        model, batch = draw_toy_batch(data, num_modalities, batch_size, code_length, seed)
+        result = encode_adaptive(model, batch)
+        assume(result.iterations < encoding.MAX_ITERS)
+        present = batch.present_modalities
+        mu = result.dynamic_weights
+        projected = {
+            m: apply_kernel(batch.features[m], model.anchor_sets[m], model.projections[m])
+            for m in present
+        }
+        fused = projected[present[0]] / mu[present[0]]
+        for m in present[1:]:
+            fused = fused + projected[m] / mu[m]
+        assert result.codes.tobytes() == sign_to_pm1(fused).tobytes()
+        norms = np.zeros(model.num_modalities)
+        norms[present] = update_weights(
+            [np.linalg.norm(result.codes - projected[m]) for m in present]
+        )
+        assert mu.tobytes() == norms.tobytes()
 
     def test_stops_at_the_iteration_cap(self):
         """A batch that needs more than 3 sign steps stops at a patched cap

@@ -199,10 +199,14 @@ class TestMakeNoisyStream:
 
     def test_rejects_bad_parameters(self):
         feats = self.make_features(10)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="batch_size must be positive, got 0"):
             make_noisy_stream(feats, batch_size=0, noise_scale=1.0)
-        with pytest.raises(InvalidParameterError):
-            make_noisy_stream(feats, batch_size=5, noise_scale=-1.0)
+        for scale in (-1.0, np.nan, np.inf):
+            with pytest.raises(
+                InvalidParameterError,
+                match=f"noise_scale must be finite and non-negative, got {scale}",
+            ):
+                make_noisy_stream(feats, batch_size=5, noise_scale=scale)
         with pytest.raises(InvalidParameterError):
             make_noisy_stream([], batch_size=5, noise_scale=1.0)
 
