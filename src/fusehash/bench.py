@@ -204,6 +204,13 @@ def _pairwise_center_distances(table) -> list[int]:
     ]
 
 
+def _row_counts(table) -> tuple[int, int]:
+    """Bit rows distinct up to sign, and constant rows, counted row by row."""
+    rows = [tuple(row) for row in table.centers.tolist()]
+    distinct = {max(row, tuple(-v for v in row)) for row in rows}
+    return len(distinct), sum(len(set(row)) == 1 for row in rows)
+
+
 def _simplex_grid_min(squares, step: float = 1e-3) -> float:
     """Exhaustive simplex grid minimum of sum(squares / weights), M = 2 or 3."""
     squares = np.asarray(squares, dtype=np.float64)
@@ -231,7 +238,7 @@ def _naive_ap(relevance) -> float:
 
 
 def c01_hadamard_center_distances_exact(seed: int) -> str:
-    """Exact tables: every center pair differs on exactly half the bits."""
+    """Exact tables: center pairs lie r/2 apart; the audit's row counts match brute force."""
     covered = 0
     for code_length in (8, 16, 32, 64, 128):
         for num_categories in (2, 10, 20, 81):
@@ -246,8 +253,11 @@ def c01_hadamard_center_distances_exact(seed: int) -> str:
                 distances == [code_length // 2] * len(distances),
                 f"{where}: pair distances {sorted(set(distances))}, want {code_length // 2}",
             )
+            audit = audit_centers(table)
+            rows, want = (audit.distinct_rows, audit.constant_rows), _row_counts(table)
+            _expect(rows == want, f"{where}: audit rows (distinct, constant) {rows}, want {want}")
     _expect(covered == 13, f"{covered} exact grid points, want 13")
-    return "every pair of 13 exact tables at distance r/2"
+    return "every pair of 13 exact tables at distance r/2, rows counted as the audit counts them"
 
 
 def c02_redimensioned_center_distance_band(seed: int) -> str:

@@ -63,11 +63,13 @@ class HashCenterTable:
 
 @dataclass(frozen=True)
 class CenterAudit:
-    """Pairwise-distance audit of a center table."""
+    """Pairwise-distance and bit-row audit of a center table."""
 
     average_distance: float
     min_distance: int
     threshold: float
+    distinct_rows: int
+    constant_rows: int
 
     @property
     def passed(self) -> bool:
@@ -126,14 +128,14 @@ def lsh_reduce(matrix, code_length: int, seed: int) -> np.ndarray:
 
 
 def audit_centers(table: HashCenterTable) -> CenterAudit:
-    """Average/minimum pairwise Hamming distance and the pass verdict.
+    """Pairwise Hamming distances, the verdict, and bit rows distinct up to sign or constant.
 
     Exact tables must average at least r/2; re-dimensioned tables at least
-    ``LSH_DISTANCE_FACTOR * r``. Both figures come from exact integer sums:
-    a bit with ``ones`` plus signs among C centers separates
-    ``ones * (C - ones)`` pairs, and +-1 columns u, v lie (r - u.v) / 2
-    apart. The Gram is formed in float64 so that BLAS multiplies it; it is
-    still exact, since every partial sum is an integer of magnitude at most r.
+    ``LSH_DISTANCE_FACTOR * r``. The figures come from exact integer sums: a
+    bit with ``ones`` plus signs among C centers separates ``ones * (C - ones)``
+    pairs, +-1 columns u, v lie (r - u.v) / 2 apart, and +-1 rows equal up to
+    sign have a product of +-C. The Grams are formed in float64 so that BLAS
+    multiplies them; every partial sum is an integer, so they stay exact.
     """
     if table.num_categories < 2:
         raise InvalidParameterError("auditing needs at least 2 centers")
@@ -143,10 +145,13 @@ def audit_centers(table: HashCenterTable) -> CenterAudit:
     average = int((ones * (count - ones)).sum()) / (count * (count - 1) // 2)
     gram = cols.T @ cols
     np.fill_diagonal(gram, -r)  # a center's product with itself is no pair
+    repeated = np.triu(np.abs(cols @ cols.T) == count, k=1).any(axis=0)
     return CenterAudit(
         average_distance=average,
         min_distance=(r - int(gram.max())) // 2,
         threshold=r / 2.0 if table.is_exact else LSH_DISTANCE_FACTOR * r,
+        distinct_rows=r - int(repeated.sum()),  # a repeat has an earlier equal row
+        constant_rows=int(((ones == 0) | (ones == count)).sum()),
     )
 
 

@@ -44,7 +44,7 @@ from .storage import (
     store_codes,
     store_model,
 )
-from .synth import SynthSpec, generate_synthetic
+from .synth import SynthSpec, generate_synthetic, make_noisy_stream
 from .training import TrainConfig, fit
 
 # The bundle splits that encode and eval can select.
@@ -103,6 +103,7 @@ def cmd_centers(args) -> int:
         f"hadamard_order={table.hadamard_order} exact={table.is_exact} "
         f"average_distance={audit.average_distance:.4f} "
         f"min_distance={audit.min_distance} threshold={audit.threshold:.2f} "
+        f"distinct_rows={audit.distinct_rows} constant_rows={audit.constant_rows} "
         f"audit={status}"
     )
     return 0 if audit.passed else 1
@@ -234,6 +235,8 @@ def cmd_sweep_delta(args) -> int:
 
 def cmd_ablate(args) -> int:
     bundle = load_bundle(args.bundle)
+    queries = bundle.features_at(bundle.query_indices)
+    make_noisy_stream(queries, args.batch_size, args.noise_scale, args.seed)  # checks before fit
     model, _ = train_on_bundle(bundle, args.bits, TrainConfig(delta=args.delta, seed=args.seed))
     result = run_ablation(
         model,

@@ -7,21 +7,21 @@ anchors drawn from the training columns of the same modality, giving a
 the mean distance over one list of anchor pairs: every pair when there are
 at most ``MAX_WIDTH_PAIRS`` of them, otherwise that many seeded draws.
 
-Precision: the map computes in float32 around the anchor mean ``mu``.
-Features and anchors are centred on ``mu`` in float64 and rounded once to
-float32; the product with the cached C-contiguous (p, d) rows
-``-2 (a_j - mu)``, the norms, the clamp, the scale and the exp run in
-float32, and each block of K is widened to float64 once, which is exact.
-Everything downstream of K (projection, Gram statistics, solves, residuals)
-stays float64. Centring keeps the expansion ``||x||^2 - 2 a.x + ||a||^2``
-from cancelling when features share a large offset: on Gaussian features
-with a common offset up to 1e4 and scales 0.01-100, measured entries stayed
-within 5.3 float32 epsilons (2**-23) of the exact map, where an uncentred
-float64 map misses by up to 6e-4 at an offset of 1e4. The float32 product
-halves the anchor bytes BLAS packs per call, which sets the cost of the
-thin products of small-batch encoding: on 2 vCPUs with OpenBLAS 0.3.31, the
-projected map of an 8-column batch at d=256, p=1000, r=64 took 153-221 us
-against 227-280 us in float64 (three alternating in-process runs).
+Precision: the map is one float32 product. Features centred on the anchor
+mean ``mu`` and scaled by ``1/sigma`` in float64 are rounded once to float32
+above two more rows, 1 and their squared norm; their product with the cached
+(p, d + 2) ``AnchorSet.anchor_operand`` is ``-||x - a||^2 / (2 sigma^2)``.
+The clamp at 0 and the exp run in float32, and the exp widens K exactly into
+float64, the precision of everything downstream. Centring keeps the norm
+expansion from cancelling: at common offsets up to 1e4 and scales 0.01-100,
+Gaussian features stayed within 5.3 float32 epsilons (2**-23) of the exact
+map, where an uncentred float64 map misses by up to 6e-4. Scaling first
+frees the range from sigma: a scaled offset ``(x - mu)/sigma`` at or near
+float32's limit (3.4e38) overflows the product into NaN, which the map
+raises, and any other feature far from every anchor maps to exactly 0. On 2
+vCPUs with OpenBLAS 0.3.31, a 1,024-column block at d = 256 and p = 1000
+maps in 5.0-6.5 ms, and an 8-column batch's projected map (r = 64) takes
+123-126 us (medians of three in-process runs).
 An :class:`AnchorSet` checks itself when built, so the map checks only features.
 """
 
@@ -48,11 +48,10 @@ class AnchorSet:
     """Anchors of one modality plus the Gaussian width used with them.
 
     Valid by construction: finite (d, p) anchors with d, p >= 1, and a
-    finite, positive width. Treat ``anchors`` as read-only: the map's
-    operands derived from them (the anchor mean, the centred anchors' -2
-    multiple and their squared norms) are cached on first use, outside the
-    dataclass fields, so they are neither stored nor compared. Pickles carry
-    the caches; ``load_model`` rebuilds them.
+    finite, positive width. Treat ``anchors`` as read-only: the map's two
+    operands derived from them, the anchor mean and the anchor operand, are
+    cached on first use outside the dataclass fields, so they are neither
+    stored nor compared. Pickles carry them; ``load_model`` rebuilds them.
     """
 
     anchors: np.ndarray  # (d, p), columns are anchor points
@@ -72,26 +71,18 @@ class AnchorSet:
 
     @cached_property
     def anchor_mean(self) -> np.ndarray:
-        """The mean anchor ``mu``, a float64 (d, 1) column. The map centres
-        features and anchors on it before rounding them to float32."""
+        """The mean anchor ``mu``, a float64 (d, 1) column."""
         return self.anchors.mean(axis=1, keepdims=True)
 
     @cached_property
-    def scaled_anchors(self) -> np.ndarray:
-        """``-2 (a_j - mu)`` as rows, a C-contiguous float32 (p, d) array.
-        The map's product then reads its anchors row-major, so BLAS does not
-        pack a transposed operand on every call. The centring is done in
-        float64 and the result rounded once; scaling by -2 does not round."""
-        scaled = np.empty(self.anchors.shape[::-1], dtype=np.float32)
-        np.multiply((self.anchors - self.anchor_mean).T, -2.0, out=scaled)
-        return scaled
-
-    @cached_property
-    def squared_norms(self) -> np.ndarray:
-        """``||a_j - mu||^2`` per anchor, summed in float64 and rounded once
-        to a float32 (p, 1) column."""
-        centred = self.anchors - self.anchor_mean
-        return (centred * centred).sum(axis=0).astype(np.float32)[:, None]
+    def anchor_operand(self) -> np.ndarray:
+        """Rows ``[(a - mu)/sigma, -||(a - mu)/sigma||^2 / 2, -1/2]``, formed in
+        float64 as ``_map_block`` forms its columns and rounded once into one
+        C-contiguous float32 (p, d + 2) array: BLAS packs no transpose per call."""
+        scaled = (self.anchors - self.anchor_mean) / self.kernel_width
+        half_norms = -0.5 * (scaled * scaled).sum(axis=0, keepdims=True)
+        rows = np.concatenate([scaled, half_norms, np.full_like(half_norms, -0.5)])
+        return np.ascontiguousarray(rows.T, dtype=np.float32)
 
 
 def select_anchors(
@@ -149,10 +140,8 @@ def _mean_anchor_distance(anchors, rng) -> float:
 def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray:
     """Gaussian kernel map: entry (j, i) = exp(-||x_i - a_j||^2 / (2 sigma^2)).
 
-    Computed in float32 around the anchor mean and returned as float64 (see
-    the module docstring). Without a projection, the ``(p, n)`` result is
-    filled one column block of ``_kernel_blocks`` at a time, so besides it
-    the map holds only one block's float32 work arrays.
+    Returned as float64 (see the module docstring). Without a projection the
+    ``(p, n)`` result is filled block by block, beside one block's work arrays.
 
     With an ``(r, p)`` ``projection``, returns ``projection @ K`` without
     building the whole of K: the column blocks of ``_kernel_blocks`` are
@@ -164,9 +153,9 @@ def apply_kernel(features, anchor_set: AnchorSet, projection=None) -> np.ndarray
 
     Features must be finite: a NaN or infinite feature raises
     :class:`NumericalError` naming the anchor set's modality. So must the
-    result: features so far out that the float32 map overflows into a NaN
-    raise the same error, while features merely far from every anchor map
-    to 0.
+    result: features whose scaled offset ``(x - mu)/sigma`` overflows the
+    float32 product into NaN raise the same error, while features merely far
+    from every anchor map to 0.
     """
     feats = np.asarray(features, dtype=np.float64)
     anchors = anchor_set.anchors
@@ -245,21 +234,14 @@ def require_finite(values, name: str) -> np.ndarray:
 
 
 def _map_block(feats: np.ndarray, anchor_set: AnchorSet, out: np.ndarray) -> None:
-    """Write the kernel map of validated float64 features into float64 ``out``.
-
-    Features are centred on the anchor mean in float64 and rounded once to
-    float32; the product, the norms, the clamp, the scale and the exp run in
-    float32, and the exp widens its result into ``out``. Far features
-    overflow to inf, which maps to 0, or to NaN, which callers raise on: so
-    those steps, and not the caller's code, run without numpy's warnings.
-    """
+    """Write the map of validated float64 features into float64 ``out`` by the
+    module docstring's product. Far features overflow to -inf (so 0) or NaN
+    (raised by callers) silently: numpy's warnings are off here, and only here."""
     with np.errstate(over="ignore", invalid="ignore"):
-        centred = np.empty(feats.shape, dtype=np.float32)
-        np.subtract(feats, anchor_set.anchor_mean, out=centred)
-        feat_norms = (centred * centred).sum(axis=0)
-        sq = anchor_set.scaled_anchors @ centred
-        sq += anchor_set.squared_norms
-        sq += feat_norms
-        np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
-        sq /= -(2.0 * anchor_set.kernel_width**2)
-        np.exp(sq, out=out)
+        rows = feats - anchor_set.anchor_mean
+        rows /= anchor_set.kernel_width
+        norms = (rows * rows).sum(axis=0, keepdims=True)
+        rows = np.concatenate([rows, np.ones_like(norms), norms], dtype=np.float32)
+        exponent = anchor_set.anchor_operand @ rows  # the float64 rows are freed by now
+        np.minimum(exponent, 0.0, out=exponent)  # guard tiny positives from cancellation
+        np.exp(exponent, out=out)

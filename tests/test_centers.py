@@ -1,6 +1,7 @@
 """Hash-center construction: Sylvester matrices, LSH re-dimensioning,
 table audits, and per-sample target codes."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from fusehash import (
     required_order,
     sylvester_hadamard,
 )
+from fusehash import bench
 from fusehash import centers as centers_module
 from fusehash.centers import (
     LSH_DISTANCE_FACTOR,
@@ -35,14 +37,22 @@ def pairwise_distances(centers):
     ]
 
 
+def row_counts(centers):
+    """Bit rows distinct up to sign, by one canonical sign per row, and
+    constant rows, by the set of their values."""
+    rows = [tuple(row) for row in np.asarray(centers, dtype=np.int64).tolist()]
+    canonical = {max(row, tuple(-v for v in row)) for row in rows}
+    return len(canonical), sum(len(set(row)) == 1 for row in rows)
+
+
 def reference_audit(centers, code_length, is_exact):
-    """The audit from the list of every pair's distance."""
+    """The audit from the list of every pair's distance and ``row_counts``."""
     cols = np.asarray(centers, dtype=np.int64)
     dist = (cols.shape[0] - cols.T @ cols) // 2
     pairs = dist[np.triu_indices(dist.shape[0], k=1)]
     threshold = code_length / 2.0 if is_exact else LSH_DISTANCE_FACTOR * code_length
     average = float(pairs.mean())
-    return CenterAudit(average, int(pairs.min()), threshold)
+    return CenterAudit(average, int(pairs.min()), threshold, *row_counts(centers))
 
 
 def reference_table(code_length, num_categories, seed):
@@ -248,8 +258,33 @@ class TestAuditCenters:
             audit_centers(table)
 
     def test_verdict_follows_distance_and_threshold(self):
-        assert CenterAudit(4.0, 4, 4.0).passed
-        assert not CenterAudit(3.5, 2, 4.0).passed
+        assert CenterAudit(4.0, 4, 4.0, 8, 1).passed
+        assert not CenterAudit(3.5, 2, 4.0, 8, 1).passed
+
+    @pytest.mark.parametrize(
+        "bits, classes, distinct, constant",
+        [(64, 16, 16, 4), (16, 4, 4, 4), (128, 16, 16, 8), (32, 5, 8, 4)],
+    )
+    def test_first_columns_repeat_bit_rows(self, bits, classes, distinct, constant):
+        """Row i of the first C Sylvester columns depends only on i mod
+        2^ceil(log2 C), and rows i = 0 of that modulus are constant."""
+        audit = audit_centers(build_center_table(bits, classes, seed=0))
+        assert (audit.distinct_rows, audit.constant_rows) == (distinct, constant)
+
+    def test_checklist_rejects_a_miscounted_audit(self, monkeypatch):
+        """c01 holds the audit's row counts to its brute-force count."""
+        def miscounted(table):
+            audit = audit_centers(table)
+            return dataclasses.replace(audit, distinct_rows=audit.distinct_rows + 1)
+
+        monkeypatch.setattr(bench, "audit_centers", miscounted)
+        with pytest.raises(AssertionError, match=r"r=8 C=2: audit rows \(distinct, constant\)"):
+            bench.c01_hadamard_center_distances_exact(0)
+
+    def test_rows_equal_up_to_sign_count_once(self):
+        centers = np.array([[1, 1, -1], [-1, -1, 1], [1, 1, 1], [-1, -1, -1], [1, -1, 1]])
+        audit = audit_centers(HashCenterTable(centers=centers.astype(np.int8), seed=0))
+        assert (audit.distinct_rows, audit.constant_rows) == (3, 2) == row_counts(centers)
 
 
 class TestDerivedTableValues:

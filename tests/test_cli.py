@@ -146,6 +146,7 @@ class TestCenters:
         assert values["audit"] == "PASS"
         assert float(values["average_distance"]) == 8.0
         assert values["min_distance"] == "8"
+        assert (values["distinct_rows"], values["constant_rows"]) == ("16", "1")
 
     def test_redimensioned_table_audit_passes(self, tmp_path, capsys):
         out = tmp_path / "centers.amfh"
@@ -778,6 +779,28 @@ class TestBenchAndStudies:
             "error: InvalidParameterError: noise_scale must be finite and "
             f"non-negative, got {float(scale)}\n"
         )
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--noise-scale", "nan", "noise_scale must be finite and non-negative, got nan"),
+            ("--batch-size", "0", "batch_size must be positive, got 0"),
+        ],
+    )
+    def test_stream_options_are_checked_before_training(
+        self, workspace, capsys, monkeypatch, option, value, message
+    ):
+        """The noisy stream's own rules reject a bad option before fit runs."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(bench, "fit", no_fit)
+        code, stdout, stderr = run([
+            "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",
+            "--seed", "3", option, value,
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: InvalidParameterError: {message}\n"
 
     @pytest.mark.parametrize("command", ["train", "sweep-delta", "ablate"])
     def test_unlabelled_bundle_is_a_label_error(self, workspace, capsys, tmp_path, command):

@@ -506,7 +506,7 @@ class TestBlockedEncoding:
         )
         feats = [rng.standard_normal((4, num_samples)) for _ in range(2)]
         for anchor_set in model.anchor_sets:
-            anchor_set.squared_norms, anchor_set.scaled_anchors  # cached before measuring
+            anchor_set.anchor_operand  # cached before measuring
         tracemalloc.start()
         try:
             fuse_encode_fixed(model, feats)
@@ -565,13 +565,14 @@ class TestNonFiniteInput:
 
     def test_far_queries_encode_and_overflowing_ones_fail(self, trained_standard):
         """Queries at 1e20 are far from every anchor: their modality maps to
-        exactly 0 and the batch encodes. At 1e38 the float32 map overflows
-        into NaN: the batch fails instead of coming back with NaN weights."""
+        exactly 0 and the batch encodes. At 1e300 their scaled offsets do not
+        fit float32 and the map overflows into NaN: the batch fails instead
+        of coming back with NaN weights."""
         model, _ = trained_standard
         rng = np.random.default_rng(21)
         far, overflowing = (
             QueryBatch(features=[rng.standard_normal((32, 5)) * scale, rng.standard_normal((16, 5))])
-            for scale in (1e20, 1e38)
+            for scale in (1e20, 1e300)
         )
         assert not apply_kernel(far.features[0], model.anchor_sets[0]).any()
         results = encode_stream(model, [far, overflowing])

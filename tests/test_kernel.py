@@ -29,37 +29,44 @@ from fusehash import (
 from fusehash.exceptions import InvalidParameterError, NumericalError, ShapeError
 
 # How far a float32 map entry may lie from the exact map, about 9.5e-7.
-# Entries are in (0, 1]. The map rounds the centred operands, its inner
-# product and norms, the exponent and the exp to float32. Each rounding
-# moves an entry by at most a few float32 epsilons (2**-23) when the
-# centred points are within a few kernel widths of the anchor mean, as
-# Gaussian data are. Measured on such data: at most 3.0 epsilons over the
-# shapes drawn below, 5.3 with 1,000 anchors in one dimension.
+# Entries are in (0, 1]. The map rounds its two operands, squared norms
+# included, the product and the exp to float32. Each rounding moves an
+# entry by at most a few float32 epsilons (2**-23) when the centred points
+# are within a few kernel widths of the anchor mean, as Gaussian data are.
+# Measured on such data: at most 3.0 epsilons over the shapes drawn below,
+# 5.3 with 1,000 anchors in one dimension.
 FLOAT32_BOUND = 8 * float(np.finfo(np.float32).eps)
 
 
-def three_temporary_kernel(features, anchor_set):
-    """The float32 kernel map written as one expression with (p, n)
-    temporaries, from the anchors rather than the set's caches.
+def anchor_rows(anchor_set):
+    """The float64 (d + 2, p) columns ``[(a - mu)/sigma;
+    -||(a - mu)/sigma||^2 / 2; -1/2]`` that the anchor operand rounds."""
+    anchors = anchor_set.anchors
+    scaled = (anchors - anchors.mean(axis=1, keepdims=True)) / anchor_set.kernel_width
+    half_norms = -0.5 * (scaled * scaled).sum(axis=0, keepdims=True)
+    return np.concatenate([scaled, half_norms, np.full_like(half_norms, -0.5)])
 
-    Features and anchors are centred on the anchor mean in float64 and
-    rounded once to float32, every later step runs in float32, and the
-    result is widened to float64. The cross term multiplies a C-contiguous
-    (p, d) operand like the map's, so both run the same BLAS kernel: this
-    pins the map's order of operations, not which product BLAS picks for a
-    shape.
+
+def three_temporary_kernel(features, anchor_set):
+    """The float32 kernel map written as one expression, from the anchors
+    rather than the set's caches: its temporaries are the two float32
+    operands and their (p, n) product.
+
+    Features are centred on the anchor mean and scaled by 1/sigma in
+    float64, stacked over a row of ones and their squared norms, and
+    rounded once to float32, as the anchors' rows are; the product, the
+    clamp and the exp run in float32, and the result is widened to float64.
+    The anchor operand is C-contiguous like the map's, so both run the same
+    BLAS kernel: this pins the map's order of operations, not which product
+    BLAS picks for a shape.
     """
     feats = np.asarray(features, dtype=np.float64)
     mean = anchor_set.anchors.mean(axis=1, keepdims=True)
-    anchors = anchor_set.anchors - mean
-    centred = (feats - mean).astype(np.float32)
-    sq = (
-        (anchors * anchors).sum(axis=0).astype(np.float32)[:, None]
-        + np.ascontiguousarray(-2.0 * anchors.T, dtype=np.float32) @ centred
-        + (centred * centred).sum(axis=0)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * anchor_set.kernel_width**2)).astype(np.float64)
+    scaled = (feats - mean) / anchor_set.kernel_width
+    norms = (scaled * scaled).sum(axis=0, keepdims=True)
+    operand = np.concatenate([scaled, np.ones_like(norms), norms]).astype(np.float32)
+    anchor_operand = np.ascontiguousarray(anchor_rows(anchor_set).T, dtype=np.float32)
+    return np.exp(np.minimum(anchor_operand @ operand, 0.0)).astype(np.float64)
 
 
 def difference_kernel(features, anchor_set, columns=slice(None)):
@@ -86,25 +93,21 @@ def assert_matches_references(feats, anchor_set, projection, columns=slice(None)
 
 
 # The map's operands that an AnchorSet caches outside its fields.
-CACHES = ("anchor_mean", "scaled_anchors", "squared_norms")
+CACHES = ("anchor_mean", "anchor_operand")
 
 
 def assert_caches_match_anchors(anchor_set):
-    """The float64 (d, 1) anchor mean, the C-contiguous float32 (p, d)
-    ``-2 (a - mu)`` rows and the float32 (p, 1) ``||a - mu||^2``, each
-    rounded once from its float64 value."""
+    """The float64 (d, 1) anchor mean, and the anchor operand: the rows of
+    ``anchor_rows`` as one C-contiguous float32 (p, d + 2) array, each
+    entry rounded once from its float64 value."""
     anchors = anchor_set.anchors
     mean = anchor_set.anchor_mean
     assert mean.dtype == np.float64 and mean.shape == (anchors.shape[0], 1)
     assert mean.tobytes() == anchors.mean(axis=1, keepdims=True).tobytes()
-    centred = anchors - mean
-    scaled = anchor_set.scaled_anchors
-    assert scaled.flags.c_contiguous and scaled.dtype == np.float32
-    assert scaled.shape == anchors.shape[::-1]
-    assert scaled.tobytes() == (-2.0 * centred.T).astype(np.float32).tobytes()
-    norms = anchor_set.squared_norms
-    assert norms.dtype == np.float32 and norms.shape == (anchors.shape[1], 1)
-    assert norms.tobytes() == (centred * centred).sum(axis=0).astype(np.float32)[:, None].tobytes()
+    operand = anchor_set.anchor_operand
+    assert operand.flags.c_contiguous and operand.dtype == np.float32
+    assert operand.shape == (anchors.shape[1], anchors.shape[0] + 2)
+    assert operand.tobytes() == anchor_rows(anchor_set).T.astype(np.float32).tobytes()
 
 
 class TestSelectAnchors:
@@ -254,22 +257,26 @@ class TestApplyKernel:
         num_samples=st.integers(1, 12),
         offset=st.sampled_from([0.0, 1e2, 1e4]),
         scale=st.floats(0.01, 100.0),
+        magnitude=st.sampled_from([1.0, 1e15, 1e27]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_offset_features_stay_within_the_float32_bound(
-        self, dim, num_anchors, num_samples, offset, scale, seed
+        self, dim, num_anchors, num_samples, offset, scale, magnitude, seed
     ):
         """Features and anchors sharing a large offset map within
         ``FLOAT32_BOUND`` of the difference form, the anchors themselves
         included: centring on the anchor mean removes the offset before the
         norm expansion, which at an offset of 1e4 and scale 0.01 cancels to
-        errors of 6e-4 even in float64."""
+        errors of 6e-4 even in float64. Scaling by 1/sigma before rounding
+        keeps the bound at any magnitude: widths reach about 1e30, where a
+        squared distance is far beyond float32."""
         rng = np.random.default_rng(seed)
-        pool = offset + scale * rng.standard_normal((dim, num_anchors))
+        pool = magnitude * (offset + scale * rng.standard_normal((dim, num_anchors)))
         anchor_set = select_anchors(pool, num_anchors, seed=0)
-        feats = np.concatenate(
-            [offset + scale * rng.standard_normal((dim, num_samples)), anchor_set.anchors], axis=1
-        )
+        feats = np.concatenate([
+            magnitude * (offset + scale * rng.standard_normal((dim, num_samples))),
+            anchor_set.anchors,
+        ], axis=1)
         out = apply_kernel(feats, anchor_set)
         assert np.all(np.abs(out - difference_kernel(feats, anchor_set)) <= FLOAT32_BOUND)
 
@@ -347,15 +354,16 @@ class TestApplyKernel:
         for name in CACHES:
             assert name not in repr(anchor_set)
         np.testing.assert_array_equal(anchor_set.anchor_mean, [[2.0], [1.0]])
-        np.testing.assert_array_equal(anchor_set.squared_norms, [[4.0], [0.0], [4.0]])
         np.testing.assert_array_equal(
-            anchor_set.scaled_anchors, [[4.0, 0.0], [0.0, 0.0], [-4.0, 0.0]]
+            anchor_set.anchor_operand,
+            [[-2.0, 0.0, -2.0, -0.5], [0.0, 0.0, 0.0, -0.5], [2.0, 0.0, -2.0, -0.5]],
         )
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_scaled_anchors_are_row_major(self, layout):
-        """Whatever the anchors' layout, the cache is one C-contiguous float32
-        (p, d) array, so the map's product reads its anchors row-major."""
+        """Whatever the anchors' layout, the anchor operand is one
+        C-contiguous float32 (p, d + 2) array, so the map's product reads its
+        anchors row-major."""
         anchors = np.random.default_rng(14).standard_normal((5, 14))
         if layout == "F":
             anchors = np.asfortranarray(anchors)
@@ -377,8 +385,9 @@ SMALL_BLOCK = 8
 
 
 class TestFloat32Range:
-    """Features beyond float32's range around the anchors: far ones map to
-    exactly 0, and ones whose map overflows into a NaN raise."""
+    """Features far beyond float32's range around the anchors: ones whose
+    scaled offset ``(x - mu)/sigma`` fits float32 map to exactly 0, and ones
+    whose scaled offset overflows it raise."""
 
     def anchor_set(self):
         rng = np.random.default_rng(19)
@@ -391,16 +400,23 @@ class TestFloat32Range:
         assert not apply_kernel(feats, self.anchor_set(), projection).any()
 
     @pytest.mark.parametrize("projected", [False, True])
-    def test_an_overflowing_map_names_the_modality(self, projected):
+    def test_squared_offsets_beyond_float32_map_to_zero(self, projected):
+        """At 1e38 the scaled offsets fit float32 and their squared norms do
+        not: the exponent is -inf, and the map exactly 0."""
         feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e38
+        projection = np.ones((3, 6)) if projected else None
+        assert not apply_kernel(feats, self.anchor_set(), projection).any()
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_an_overflowing_map_names_the_modality(self, projected):
+        feats = np.random.default_rng(20).standard_normal((8, 5)) * 1e300
         projection = np.ones((3, 6)) if projected else None
         with pytest.raises(NumericalError, match="modality 1 kernel features"):
             apply_kernel(feats, self.anchor_set(), projection)
 
-
     @pytest.mark.parametrize("projected", [False, True])
     def test_far_features_map_without_a_warning(self, projected):
-        """Overflow to inf inside the float32 map is the documented route to
+        """Overflow to -inf inside the float32 map is the documented route to
         0, not a fault: no numpy warning is raised, and the error state the
         caller set is the one it has afterwards."""
         feats = np.random.default_rng(21).standard_normal((8, 50)) * 1e20

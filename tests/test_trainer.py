@@ -39,6 +39,7 @@ from fusehash.training import (
     update_projection,
     update_weights,
 )
+from test_kernel import FLOAT32_BOUND, difference_kernel
 
 
 def random_instance(rng, r, p, n, num_modalities):
@@ -359,12 +360,28 @@ class TestFit:
         with pytest.raises(NumericalError, match=f"modality {modality}"):
             fit(feats, labels, build_center_table(8, 2, seed=0))
 
-    @pytest.mark.parametrize("spread", [1e19, 1e20])
-    def test_features_beyond_the_float32_map_raise(self, spread):
-        """The float32 map of such features overflows into NaN; fit names the
-        modality instead of returning NaN projections and weights."""
+    @pytest.mark.parametrize("spread", [3e18, 1e19, 1e20])
+    def test_far_spread_features_train_within_the_float32_bound(self, spread):
+        """At d = 8 such spreads put squared distances beyond float32, yet
+        the map scales by 1/sigma before rounding: fit trains, and the kernel
+        map lies within ``FLOAT32_BOUND`` of the difference form."""
         rng = np.random.default_rng(0)
         feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200)) * spread]
+        labels = [{i % 4} for i in range(200)]
+        model = fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
+        assert model.converged and np.isfinite(model.train_weights).all()
+        anchor_set = model.anchor_sets[1]
+        out = apply_kernel(feats[1], anchor_set)
+        assert np.all(np.abs(out - difference_kernel(feats[1], anchor_set)) <= FLOAT32_BOUND)
+
+    def test_features_beyond_the_float32_map_raise(self):
+        """A training column at 1e300, not drawn as an anchor, has a scaled
+        offset beyond float32: its map overflows into NaN, and fit names the
+        modality instead of returning NaN projections and weights."""
+        rng = np.random.default_rng(0)
+        feats = [rng.standard_normal((4, 200)), rng.standard_normal((8, 200))]
+        feats[1][:, 7] *= 1e300
+        assert np.abs(select_anchors(feats[1], 50, seed=0).anchors).max() < 10
         labels = [{i % 4} for i in range(200)]
         with pytest.raises(NumericalError, match="modality 1 kernel features"):
             fit(feats, labels, build_center_table(16, 4, seed=0), TrainConfig(num_anchors=50))
