@@ -105,19 +105,16 @@ class AblationResult:
 def run_ablation(
     model: TrainedModel,
     bundle: DatasetBundle,
-    batch_size: int = 10,
-    noise_scale: float = ABLATION_NOISE_SCALE,
-    seed: int = 0,
+    batches: list[QueryBatch],
+    corrupted: list[int],
     cutoff: int | None = None,
 ) -> AblationResult:
     """Encode a corrupted query stream both ways and compare retrieval mAP.
 
-    Batches alternate which modality carries the noise; the per-batch weight
-    vectors are kept for trace output.
+    ``batches`` and ``corrupted`` are what :func:`make_noisy_stream` returns
+    for the bundle's query split: batches alternate which modality carries
+    the noise. The per-batch weight vectors are kept for trace output.
     """
-    batches, corrupted = make_noisy_stream(
-        bundle.features_at(bundle.query_indices), batch_size, noise_scale, seed
-    )
     adaptive = encode_stream(model, batches, mode="adaptive")
     fixed = encode_stream(model, batches, mode="fixed")
     db_codes, db_labels = _retrieval_database(model, bundle)
@@ -394,7 +391,10 @@ def c08_adaptive_beats_fixed_on_noisy_stream(seed: int) -> str:
     # 1.0 and the comparison is vacuous.
     bundle = _standard_bundle(seed, spread=1.0)
     model, _ = train_on_bundle(bundle, 16, TrainConfig(seed=seed))
-    result = run_ablation(model, bundle, batch_size=10, seed=seed)
+    stream = make_noisy_stream(
+        bundle.features_at(bundle.query_indices), 10, ABLATION_NOISE_SCALE, seed
+    )
+    result = run_ablation(model, bundle, *stream)
     detail = (
         f"adaptive {result.adaptive_map:.4f} vs fixed {result.fixed_map:.4f}, "
         f"noisy modality tracked in {result.tracking_fraction:.0%} of batches"

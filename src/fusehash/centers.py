@@ -214,21 +214,32 @@ def assign_target_codes(table: HashCenterTable, labels) -> np.ndarray:
 
     A single-label sample gets its category's center column verbatim; a
     multi-label sample gets the per-bit sign of the mean of its member
-    centers, with zero ties mapped to +1.
+    centers, with zero ties mapped to +1. Each distinct label set is checked
+    and given its column once; samples gather their set's column.
     """
     centers = table.centers
     k = table.num_categories
-    out = np.empty((table.code_length, len(labels)), dtype=np.int8)
+    set_of_sample = np.empty(len(labels), dtype=np.intp)
+    set_index: dict[frozenset, int] = {}
+    members: list[list] = []  # sorted labels of each distinct set
     for i, label_set in enumerate(labels):
-        idx = sorted(set(label_set))
-        if not idx:
-            raise LabelError(f"sample {i} has an empty label set")
-        if idx[0] < 0 or idx[-1] >= k:
-            raise LabelError(
-                f"sample {i} has labels outside [0, {k}): {idx}"
-            )
+        key = frozenset(label_set)
+        j = set_index.get(key)
+        if j is None:
+            idx = sorted(key)
+            if not idx:
+                raise LabelError(f"sample {i} has an empty label set")
+            if idx[0] < 0 or idx[-1] >= k:
+                raise LabelError(
+                    f"sample {i} has labels outside [0, {k}): {idx}"
+                )
+            j = set_index[key] = len(members)
+            members.append(idx)
+        set_of_sample[i] = j
+    columns = np.empty((table.code_length, len(members)), dtype=np.int8)
+    for j, idx in enumerate(members):
         if len(idx) == 1:
-            out[:, i] = centers[:, idx[0]]
+            columns[:, j] = centers[:, idx[0]]
         else:
-            out[:, i] = sign_to_pm1(centers[:, idx].mean(axis=1))
-    return out
+            columns[:, j] = sign_to_pm1(centers[:, idx].mean(axis=1))
+    return np.take(columns, set_of_sample, axis=1)

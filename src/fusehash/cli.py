@@ -236,16 +236,10 @@ def cmd_sweep_delta(args) -> int:
 def cmd_ablate(args) -> int:
     bundle = load_bundle(args.bundle)
     queries = bundle.features_at(bundle.query_indices)
-    make_noisy_stream(queries, args.batch_size, args.noise_scale, args.seed)  # checks before fit
+    # Built before fit, so a bad --noise-scale or --batch-size fails first.
+    batches, corrupted = make_noisy_stream(queries, args.batch_size, args.noise_scale, args.seed)
     model, _ = train_on_bundle(bundle, args.bits, TrainConfig(delta=args.delta, seed=args.seed))
-    result = run_ablation(
-        model,
-        bundle,
-        batch_size=args.batch_size,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-        cutoff=args.cutoff,
-    )
+    result = run_ablation(model, bundle, batches, corrupted, cutoff=args.cutoff)
     if args.weights_trace:
         _write_weight_trace(args.weights_trace, result.adaptive_weights)
     print(

@@ -15,15 +15,30 @@ as a radix sort for these dtypes. A stable sort keeps ties in ascending
 index order, so the ranking is the one int64 distances would give; public
 results still carry int64 distances. mAP tests relevance on one
 ``ceil(L/64)``-word label bitset per item, for L distinct labels.
-Evaluation memory is O(RANK_BLOCK * n_db + n * ceil(L/64)), not
-O(n_q * n_db). Code matrices returned by ``load_codes`` carry their packed
-bytes, which the kernel uses as they are instead of validating and packing
-again. An ``EvalReport`` stores the per-query APs and the cutoff; its mAP
-and query count are read from the APs.
+
+mAP packs both code sets and builds the label bitsets once, on the calling
+thread, then scores its query blocks on one thread per usable core
+(``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), thread w taking
+blocks w, w + workers, ...; with one block or one core it runs them inline
+and starts no thread. Each block writes only its own queries' APs, so
+results do not depend on the worker count. A query's AP is taken from the
+0-based ranks ``pos`` of its k relevant items within the cutoff:
+``sum(arange(1, k + 1) / (pos + 1)) / k``, or 0 when k = 0. This sum can
+differ from :func:`average_precision`, which sums a cutoff-length vector,
+by a few ULPs. Evaluation memory is
+O(workers * RANK_BLOCK * n_db + n * ceil(L/64)), not O(n_q * n_db). Each
+ranking thread writes its XOR, popcount and label-test results into one
+set of block-sized arrays that it reuses for every block it ranks.
+
+Code matrices returned by ``load_codes`` carry their packed bytes, which
+the kernel uses as they are instead of validating and packing again. An
+``EvalReport`` stores the per-query APs and the cutoff; its mAP and query
+count are read from the APs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +95,14 @@ def _rank_blocks(query_codes, db_codes):
     ranking of queries ``start`` to ``start + b - 1``, and ``distances`` their
     ``(b, n_db)`` narrow-dtype distances in database order.
     """
+    return _ranked_blocks(query_codes, db_codes, _distance_dtype(query_codes, db_codes))
+
+
+def _distance_dtype(query_codes, db_codes) -> np.dtype:
+    """The narrowest unsigned dtype that holds the shared code length r.
+
+    Raises ``ShapeError`` unless the codes are ``(r, n_q)`` and ``(r, n_db)``.
+    """
     q = np.asarray(query_codes)
     db = np.asarray(db_codes)
     if q.ndim != 2 or db.ndim != 2 or q.shape[0] != db.shape[0]:
@@ -87,19 +110,36 @@ def _rank_blocks(query_codes, db_codes):
             f"query codes {q.shape} and database codes {db.shape} disagree "
             "on code length"
         )
-    return _ranked_blocks(query_codes, db_codes, np.min_scalar_type(q.shape[0]))
+    return np.min_scalar_type(q.shape[0])
 
 
 def _ranked_blocks(query_codes, db_codes, dtype):
     """The iterator of :func:`_rank_blocks`, with distances of ``dtype``."""
     q_words = _words(pack_codes(query_codes))  # the originals: a loaded CodeMatrix
     db_words = _words(pack_codes(db_codes))  # hands over its bytes, np.asarray would not
+    shape = (min(RANK_BLOCK, q_words.shape[0]), db_words.shape[0])
+    words, counts = np.empty(shape, dtype=db_words.dtype), np.empty(shape, dtype=np.uint8)
     for start in range(0, q_words.shape[0], RANK_BLOCK):
         block = q_words[start : start + RANK_BLOCK]
-        distances = np.zeros((block.shape[0], db_words.shape[0]), dtype=dtype)
-        for q_word, db_word in zip(block.T, db_words.T):
-            distances += np.bitwise_count(np.bitwise_xor.outer(q_word, db_word))
-        yield start, np.argsort(distances, axis=1, kind="stable"), distances
+        b = block.shape[0]
+        distances = np.empty((b, db_words.shape[0]), dtype=dtype)
+        yield start, _rank_block(block, db_words, distances, words[:b], counts[:b]), distances
+
+
+def _rank_block(block, db_words, distances, words, counts) -> np.ndarray:
+    """Stable ``(b, n_db)`` ranking of the b query words ``block``.
+
+    Fills the ``(b, n_db)`` narrow-dtype ``distances``. ``words`` (of the
+    word dtype) and ``counts`` (uint8) are ``(b, n_db)`` scratch that callers
+    reuse from block to block: fresh block-sized temporaries cost page faults
+    on every block once the allocator hands their megabytes back to the
+    system.
+    """
+    distances.fill(0)
+    for q_word, db_word in zip(block.T, db_words.T):
+        np.bitwise_xor.outer(q_word, db_word, out=words)
+        distances += np.bitwise_count(words, out=counts)
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def average_precision(relevance, cutoff: int) -> float:
@@ -150,9 +190,10 @@ def mean_average_precision(
     query's. The cutoff defaults to the full database size. Label ids are
     compacted to their sorted distinct values, so their magnitude costs no
     memory; each item's labels become a bitset of ``ceil(L/64)`` words, and
-    relevance is built for one block of queries at a time.
+    relevance is built for one block of queries at a time. Blocks are scored
+    on :func:`_worker_count` threads, each writing only its own queries' APs.
     """
-    blocks = _rank_blocks(query_codes, db_codes)  # code lengths are checked first
+    dtype = _distance_dtype(query_codes, db_codes)  # code lengths are checked first
     num_queries = np.shape(query_codes)[1]
     num_db = np.shape(db_codes)[1]
     if num_queries == 0 or num_db == 0:
@@ -174,17 +215,69 @@ def mean_average_precision(
     if any(label < 0 for label in all_labels):
         raise LabelError("labels must be non-negative integers")
     label_ids = np.unique(np.asarray(all_labels, dtype=np.int64))
+    # Everything public is called here, on the calling thread: workers run
+    # numpy and private helpers only, so a wrapper around a public name (a
+    # tracer, a spy) never runs concurrently with itself.
+    q_words = _words(pack_codes(query_codes))
+    db_words = _words(pack_codes(db_codes))
     query_bits = _label_bits(query_labels, label_ids)
     db_bits = _label_bits(db_labels, label_ids)
 
     per_query = np.empty(num_queries)
-    for start, order, _ in blocks:
-        relevant = np.zeros(order.shape, dtype=bool)  # label-intersection test, word by word
-        for q_word, db_word in zip(query_bits[start : start + order.shape[0]].T, db_bits.T):
-            relevant |= np.bitwise_and.outer(q_word, db_word) != 0
-        for i, (row, row_order) in enumerate(zip(relevant, order), start):
-            per_query[i] = average_precision(row[row_order], cutoff)
+
+    starts = range(0, num_queries, RANK_BLOCK)
+    workers = min(_worker_count(), len(starts))
+
+    def score_blocks(worker: int) -> None:
+        """Score every ``workers``-th block from the ``worker``-th on."""
+        shape = (min(RANK_BLOCK, num_queries), num_db)
+        distances, counts = np.empty(shape, dtype=dtype), np.empty(shape, dtype=np.uint8)
+        words, labels = np.empty(shape, dtype=db_words.dtype), np.empty(shape, dtype=np.uint64)
+        relevant = np.empty(shape, dtype=bool)
+        for start in starts[worker::workers]:
+            block = slice(start, start + RANK_BLOCK)
+            b = min(RANK_BLOCK, num_queries - start)
+            order = _rank_block(q_words[block], db_words, distances[:b], words[:b], counts[:b])
+            relevant[:b] = False  # label-intersection test, word by word
+            for q_word, db_word in zip(query_bits[block].T, db_bits.T):
+                np.bitwise_and.outer(q_word, db_word, out=labels[:b])
+                relevant[:b] |= np.not_equal(labels[:b], 0, out=counts[:b].view(bool))
+            for i, (row, row_order) in enumerate(zip(relevant[:b], order), start):
+                per_query[i] = _ranks_average_precision(np.flatnonzero(row[row_order[:cutoff]]))
+
+    if workers == 1:
+        score_blocks(0)
+    else:
+        # Imported here, since concurrent.futures loads logging: about 0.5 MB
+        # of resident memory in every process that imports fusehash.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(score_blocks, worker) for worker in range(workers)]:
+                future.result()  # re-raises a worker's error
     return EvalReport(per_query_ap=per_query, cutoff=cutoff)
+
+
+def _ranks_average_precision(positions: np.ndarray) -> float:
+    """AP from the 0-based ranks of the relevant items within the cutoff.
+
+    The m-th relevant rank contributes precision m / (rank + 1); the sum runs
+    over the relevant ranks alone, so it can differ from
+    :func:`average_precision`, which sums a cutoff-length vector, by a few
+    ULPs. No relevant rank gives 0.
+    """
+    found = positions.shape[0]
+    if found == 0:
+        return 0.0
+    return float((np.arange(1, found + 1) / (positions + 1)).sum() / found)
+
+
+def _worker_count() -> int:
+    """Threads that score mAP blocks: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def format_report(report: EvalReport) -> str:

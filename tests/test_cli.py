@@ -748,7 +748,7 @@ class TestBenchAndStudies:
     def test_ablate_cutoff(self, workspace, capsys):
         """``--cutoff 3`` gives ``bench.run_ablation``'s mAPs at that cutoff,
         which differ from the full-ranking ones on this noisy stream."""
-        from fusehash import TrainConfig, load_bundle
+        from fusehash import TrainConfig, load_bundle, make_noisy_stream
 
         code, stdout, _ = run([
             "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8",
@@ -758,8 +758,9 @@ class TestBenchAndStudies:
         values = parse_kv_line(stdout.strip())
         bundle = load_bundle(workspace["bundle"])
         model, _ = bench.train_on_bundle(bundle, 8, TrainConfig(seed=3))
-        want = bench.run_ablation(model, bundle, seed=3, cutoff=3)
-        full = bench.run_ablation(model, bundle, seed=3)
+        stream = make_noisy_stream(bundle.features_at(bundle.query_indices), 10, 2.0, seed=3)
+        want = bench.run_ablation(model, bundle, *stream, cutoff=3)
+        full = bench.run_ablation(model, bundle, *stream)
         assert values["adaptive_map"] == f"{want.adaptive_map:.6f}"
         assert values["fixed_map"] == f"{want.fixed_map:.6f}"
         assert (want.adaptive_map, want.fixed_map) != (full.adaptive_map, full.fixed_map)
@@ -851,6 +852,23 @@ class TestBenchAndStudies:
         values = parse_kv_line(stdout.strip())
         assert 0.0 <= float(values["fixed_map"]) <= float(values["adaptive_map"]) <= 1.0
         assert 0.0 <= float(values["tracking"]) <= 1.0
+
+    def test_ablate_builds_its_stream_once(self, workspace, capsys, monkeypatch):
+        """The stream that checks the options before fit is the one scored."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_noisy_stream(*args, **kwargs)
+
+        make_noisy_stream = cli.make_noisy_stream
+        monkeypatch.setattr(cli, "make_noisy_stream", counted)
+        monkeypatch.setattr(bench, "make_noisy_stream", counted)
+        code, _, _ = run([
+            "ablate", "--bundle", str(workspace["bundle"]), "--bits", "8", "--seed", "3",
+        ], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
 """Retrieval evaluation: ranking, average precision, mAP."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fusehash import (
     average_precision,
+    evaluation,
     hamming_rank,
     load_codes,
     mean_average_precision,
@@ -392,6 +395,93 @@ class TestMeanAveragePrecision:
         code = np.ones((8, 1), dtype=np.int8)
         with pytest.raises(InvalidParameterError):
             mean_average_precision(code, [{0}], code, [{0}], cutoff=2)
+
+
+class TestParallelScoring:
+    """mAP blocks run on ``_worker_count()`` threads and take AP from the relevant ranks."""
+
+    @staticmethod
+    def problem(rng, num_queries, num_db=200, code_length=24):
+        base = random_codes(rng, code_length, 40)
+        db = base[:, rng.integers(0, 40, num_db)]  # repeated columns: ties
+        db_labels = [set(rng.choice(5, int(rng.integers(1, 3)), replace=False).tolist()) for _ in range(num_db)]
+        queries = random_codes(rng, code_length, num_queries)
+        query_labels = [{int(rng.integers(0, 5))} for _ in range(num_queries)]
+        return queries, query_labels, db, db_labels
+
+    @pytest.mark.parametrize("num_queries", [63, 64, 65])
+    @pytest.mark.parametrize("cutoff", [None, 37])
+    def test_per_query_ap_bytes_do_not_depend_on_workers(self, monkeypatch, num_queries, cutoff):
+        args = self.problem(np.random.default_rng(num_queries), num_queries)
+        per_query = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evaluation, "_worker_count", lambda: workers)
+            per_query.append(mean_average_precision(*args, cutoff).per_query_ap.tobytes())
+        assert per_query[1] == per_query[0]
+        assert per_query[2] == per_query[0]
+
+    def test_many_workers_lose_no_write(self, monkeypatch):
+        """16 workers on 50 blocks, switching threads every microsecond."""
+        args = self.problem(np.random.default_rng(40), 50 * RANK_BLOCK, num_db=64)
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 1)
+        want = mean_average_precision(*args).per_query_ap.tobytes()
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert mean_average_precision(*args).per_query_ap.tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rank_ap_is_within_ulps_of_average_precision(self):
+        """Summing over the relevant ranks alone moves AP by at most 2 ULPs
+        here (1.5 eps relative), against ``average_precision`` of the
+        ranked relevance vector, which sums all ``cutoff`` entries."""
+        rng = np.random.default_rng(31)
+        num_db, num_queries = 3000, 40
+        db = random_codes(rng, 16, num_db)
+        db_labels = [{int(x)} for x in rng.integers(0, 3, num_db)]
+        queries = random_codes(rng, 16, num_queries)
+        query_labels = [{int(x)} for x in rng.integers(0, 3, num_queries)]
+        for cutoff in (num_db, 1000):
+            report = mean_average_precision(queries, query_labels, db, db_labels, cutoff)
+            for i in range(num_queries):
+                order, _ = naive_ranking(queries[:, i], db)
+                relevance = np.array([bool(db_labels[j] & query_labels[i]) for j in order])
+                want = average_precision(relevance, cutoff)
+                assert abs(report.per_query_ap[i] - want) <= 64 * np.finfo(np.float64).eps * want
+
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
+        """Packing (and any AP call) runs on the caller; blocks run on the workers."""
+        threads = {"pack_codes": [], "average_precision": [], "_rank_block": []}
+        for name in threads:
+            original = getattr(evaluation, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                threads[_name].append(threading.get_ident())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, spy)
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: 3)
+        mean_average_precision(*self.problem(np.random.default_rng(41), 65))
+        caller = threading.get_ident()
+        assert threads["pack_codes"] == [caller, caller]
+        assert set(threads["average_precision"]) <= {caller}
+        assert len(threads["_rank_block"]) == 9
+        assert caller not in threads["_rank_block"]
+
+    @pytest.mark.parametrize("workers, num_queries", [(4, RANK_BLOCK), (1, 65)])
+    def test_one_block_or_one_core_starts_no_thread(self, monkeypatch, workers, num_queries):
+        args = self.problem(np.random.default_rng(42), num_queries)
+        want = mean_average_precision(*args).per_query_ap.tobytes()
+
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(evaluation, "_worker_count", lambda: workers)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert mean_average_precision(*args).per_query_ap.tobytes() == want
 
 
 class TestLoadedCodes:
