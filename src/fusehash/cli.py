@@ -175,14 +175,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_query(args) -> int:
-    db = load_codes(args.db)
-    queries = load_codes(args.queries)
-    top = min(args.top, db.shape[1])
     if args.top < 1:
         raise InvalidParameterError(f"--top must be positive, got {args.top}")
+    db = load_codes(args.db)
+    queries = load_codes(args.queries)
     for start, order, distances in _rank_blocks(queries, db):
         for i, (row_order, row_distances) in enumerate(zip(order, distances), start):
-            for rank, index in enumerate(row_order[:top], 1):
+            for rank, index in enumerate(row_order[: args.top], 1):
                 print(f"query={i} rank={rank} index={index} distance={row_distances[index]}")
     return 0
 

@@ -4,34 +4,35 @@ Distances are computed on packed bits with XOR + popcount, so they are
 exact integers. Ranking ties are broken by ascending database index, which
 makes every reported number reproducible bit for bit.
 
-``hamming_rank``, ``mean_average_precision`` and the ``query`` command share
-one kernel: it packs both sides once, views each code's item-major bytes as
-``k`` unsigned machine words (one uint64 at r=64), and ranks queries in
-blocks of ``RANK_BLOCK``, so a block's word, distance and relevance arrays
-stay in cache. Inside the kernel, distances are held in the narrowest
-unsigned dtype that holds the code length r (uint8 for r <= 255, uint16 up
-to 65535) and ordered by a stable argsort along each row, which numpy runs
-as a radix sort for these dtypes. A stable sort keeps ties in ascending
-index order, so the ranking is the one int64 distances would give; public
-results still carry int64 distances. mAP tests relevance on one
-``ceil(L/64)``-word label bitset per item, for L distinct labels.
+``hamming_rank``, ``mean_average_precision`` and the ``query`` command
+rank through one block generator, ``_ranked_blocks``: both sides are
+checked and packed once, each code's item-major bytes viewed as ``k``
+unsigned machine words (one uint64 at r=64), and queries ranked in blocks
+of ``RANK_BLOCK``, so a block's word, distance and relevance arrays stay in
+cache. Inside the generator, distances are held in the narrowest unsigned
+dtype that holds the code length r (uint8 for r <= 255, uint16 up to 65535)
+and ordered by a stable argsort along each row, which numpy runs as a radix
+sort for these dtypes. A stable sort keeps ties in ascending index order,
+so the ranking is the one int64 distances would give; public results still
+carry int64 distances. mAP tests relevance on one ``ceil(L/64)``-word label
+bitset per item, for L distinct labels.
 
 mAP packs both code sets and builds the label bitsets once, on the calling
 thread, then scores its query blocks on one thread per usable core
 (``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), thread w taking
 blocks w, w + workers, ...; with one block or one core it runs them inline
 and starts no thread. Each block writes only its own queries' APs, so
-results do not depend on the worker count. A query's AP is taken from the
-0-based ranks ``pos`` of its k relevant items within the cutoff:
-``sum(arange(1, k + 1) / (pos + 1)) / k``, or 0 when k = 0. This sum can
-differ from :func:`average_precision`, which sums a cutoff-length vector,
-by a few ULPs. Evaluation memory is
+results do not depend on the worker count. AP has one formula,
+``_ranks_average_precision``: from the 0-based ranks ``pos`` of a query's k
+relevant items within the cutoff, ``sum(arange(1, k + 1) / (pos + 1)) / k``,
+or 0 when k = 0. :func:`average_precision` of a ranked relevance vector is
+therefore mAP's per-query AP, byte for byte. Evaluation memory is
 O(workers * RANK_BLOCK * n_db + n * ceil(L/64)), not O(n_q * n_db). Each
-ranking thread writes its XOR, popcount and label-test results into one
-set of block-sized arrays that it reuses for every block it ranks.
+generator reuses one set of block-sized XOR, popcount and distance arrays,
+and each mAP thread one set of label-test arrays, for every block it ranks.
 
 Code matrices returned by ``load_codes`` carry their packed bytes, which
-the kernel uses as they are instead of validating and packing again. An
+ranking uses as they are instead of validating and packing again. An
 ``EvalReport`` stores the per-query APs and the cutoff; its mAP and query
 count are read from the APs.
 """
@@ -46,7 +47,7 @@ import numpy as np
 from .exceptions import InvalidParameterError, LabelError, ShapeError
 from .packing import _words, pack_codes
 
-# Queries ranked together by the kernel; keeps each block's arrays in cache.
+# Queries ranked together by the block generator; keeps each block's arrays in cache.
 RANK_BLOCK = 8
 
 
@@ -87,53 +88,59 @@ def hamming_rank(query, database) -> RankedRetrieval:
 
 
 def _rank_blocks(query_codes, db_codes):
-    """Rank the database for consecutive blocks of at most RANK_BLOCK queries.
+    """Check and pack ``(r, n_q)`` query and ``(r, n_db)`` database codes at
+    once; return the :func:`_ranked_blocks` iterator over all query blocks."""
+    *_, pack = _code_packer(query_codes, db_codes)
+    q_words, db_words, dtype = pack()
+    return _ranked_blocks(q_words, db_words, dtype, range(0, q_words.shape[0], RANK_BLOCK))
 
-    Checks the ``(r, n_q)`` query and ``(r, n_db)`` database code shapes at
-    once; the returned iterator packs both once, then yields ``(start, order,
-    distances)`` per block of b queries: ``order`` is the ``(b, n_db)`` stable
-    ranking of queries ``start`` to ``start + b - 1``, and ``distances`` their
-    ``(b, n_db)`` narrow-dtype distances in database order.
+
+def _code_packer(query_codes, db_codes):
+    """Check the code shapes now; pack both sides on demand.
+
+    Returns ``(n_q, n_db, pack)`` for ``(r, n_q)`` query and ``(r, n_db)``
+    database codes, and raises ``ShapeError`` unless both are 2-d with one
+    code length r. ``pack()`` returns the ``(n, k)`` query and database
+    words and the narrowest unsigned dtype that holds r.
     """
-    return _ranked_blocks(query_codes, db_codes, _distance_dtype(query_codes, db_codes))
-
-
-def _distance_dtype(query_codes, db_codes) -> np.dtype:
-    """The narrowest unsigned dtype that holds the shared code length r.
-
-    Raises ``ShapeError`` unless the codes are ``(r, n_q)`` and ``(r, n_db)``.
-    """
-    q = np.asarray(query_codes)
-    db = np.asarray(db_codes)
+    q, db = np.asarray(query_codes), np.asarray(db_codes)
     if q.ndim != 2 or db.ndim != 2 or q.shape[0] != db.shape[0]:
         raise ShapeError(
             f"query codes {q.shape} and database codes {db.shape} disagree "
             "on code length"
         )
-    return np.min_scalar_type(q.shape[0])
+
+    def pack():  # the originals: a loaded CodeMatrix hands over its bytes, np.asarray would not
+        return _words(pack_codes(query_codes)), _words(pack_codes(db_codes)), np.min_scalar_type(q.shape[0])
+
+    return q.shape[1], db.shape[1], pack
 
 
-def _ranked_blocks(query_codes, db_codes, dtype):
-    """The iterator of :func:`_rank_blocks`, with distances of ``dtype``."""
-    q_words = _words(pack_codes(query_codes))  # the originals: a loaded CodeMatrix
-    db_words = _words(pack_codes(db_codes))  # hands over its bytes, np.asarray would not
+def _ranked_blocks(q_words, db_words, dtype, starts):
+    """Yield ``(start, order, distances)`` for the query blocks at ``starts``.
+
+    A block is the at most RANK_BLOCK b query words from ``start``:
+    ``order`` is its ``(b, n_db)`` stable ranking and ``distances`` its
+    ``(b, n_db)`` ``dtype`` distances in database order. Word, count and
+    distance arrays are allocated once and reused from block to block, so
+    the caller must be done with a block before taking the next: fresh
+    block-sized temporaries cost page faults on every block once the
+    allocator hands their megabytes back to the system.
+    """
     shape = (min(RANK_BLOCK, q_words.shape[0]), db_words.shape[0])
     words, counts = np.empty(shape, dtype=db_words.dtype), np.empty(shape, dtype=np.uint8)
-    for start in range(0, q_words.shape[0], RANK_BLOCK):
+    distances = np.empty(shape, dtype=dtype)
+    for start in starts:
         block = q_words[start : start + RANK_BLOCK]
         b = block.shape[0]
-        distances = np.empty((b, db_words.shape[0]), dtype=dtype)
-        yield start, _rank_block(block, db_words, distances, words[:b], counts[:b]), distances
+        yield start, _rank_block(block, db_words, distances[:b], words[:b], counts[:b]), distances[:b]
 
 
 def _rank_block(block, db_words, distances, words, counts) -> np.ndarray:
     """Stable ``(b, n_db)`` ranking of the b query words ``block``.
 
-    Fills the ``(b, n_db)`` narrow-dtype ``distances``. ``words`` (of the
-    word dtype) and ``counts`` (uint8) are ``(b, n_db)`` scratch that callers
-    reuse from block to block: fresh block-sized temporaries cost page faults
-    on every block once the allocator hands their megabytes back to the
-    system.
+    Fills the ``(b, n_db)`` narrow-dtype ``distances``; ``words`` (of the
+    word dtype) and ``counts`` (uint8) are ``(b, n_db)`` scratch.
     """
     distances.fill(0)
     for q_word, db_word in zip(block.T, db_words.T):
@@ -148,9 +155,9 @@ def average_precision(relevance, cutoff: int) -> float:
     Relevance is binary: a nonzero entry marks a relevant item. Sums
     precision-at-m over the relevant ranks m <= cutoff and divides by the
     number of relevant items in the top cutoff; no relevant item in the
-    cutoff gives 0 by convention. Precision is written only at the relevant
-    ranks of a zero vector of length ``cutoff`` and the whole vector is
-    summed, so numpy's pairwise summation order depends on the cutoff alone.
+    cutoff gives 0 by convention. The sum is mAP's own (see
+    :func:`_ranks_average_precision`), so the AP of a query's ranked
+    relevance vector is the per-query AP mAP reports, byte for byte.
     """
     rel = np.asarray(relevance).reshape(-1)
     if cutoff < 1:
@@ -159,13 +166,7 @@ def average_precision(relevance, cutoff: int) -> float:
         raise InvalidParameterError(
             f"cutoff {cutoff} exceeds ranking length {rel.shape[0]}"
         )
-    positions = np.flatnonzero(rel[:cutoff])
-    found = positions.shape[0]
-    if found == 0:
-        return 0.0
-    precision = np.zeros(cutoff)
-    precision[positions] = np.arange(1, found + 1, dtype=np.float64) / (positions + 1.0)
-    return float(precision.sum() / found)
+    return _ranks_average_precision(np.flatnonzero(rel[:cutoff]))
 
 
 def _label_bits(label_sets, label_ids: np.ndarray) -> np.ndarray:
@@ -193,9 +194,7 @@ def mean_average_precision(
     relevance is built for one block of queries at a time. Blocks are scored
     on :func:`_worker_count` threads, each writing only its own queries' APs.
     """
-    dtype = _distance_dtype(query_codes, db_codes)  # code lengths are checked first
-    num_queries = np.shape(query_codes)[1]
-    num_db = np.shape(db_codes)[1]
+    num_queries, num_db, pack = _code_packer(query_codes, db_codes)  # code lengths are checked first
     if num_queries == 0 or num_db == 0:
         raise InvalidParameterError("query set and database must be non-empty")
     if len(query_labels) != num_queries or len(db_labels) != num_db:
@@ -214,12 +213,16 @@ def mean_average_precision(
     all_labels += [label for labels in db_labels for label in labels]
     if any(label < 0 for label in all_labels):
         raise LabelError("labels must be non-negative integers")
-    label_ids = np.unique(np.asarray(all_labels, dtype=np.int64))
+    try:
+        label_ids = np.unique(np.asarray(all_labels, dtype=np.int64))
+    except OverflowError as exc:
+        raise LabelError(
+            f"label ids must fit in int64, at most {np.iinfo(np.int64).max}"
+        ) from exc
     # Everything public is called here, on the calling thread: workers run
     # numpy and private helpers only, so a wrapper around a public name (a
     # tracer, a spy) never runs concurrently with itself.
-    q_words = _words(pack_codes(query_codes))
-    db_words = _words(pack_codes(db_codes))
+    q_words, db_words, dtype = pack()
     query_bits = _label_bits(query_labels, label_ids)
     db_bits = _label_bits(db_labels, label_ids)
 
@@ -231,17 +234,13 @@ def mean_average_precision(
     def score_blocks(worker: int) -> None:
         """Score every ``workers``-th block from the ``worker``-th on."""
         shape = (min(RANK_BLOCK, num_queries), num_db)
-        distances, counts = np.empty(shape, dtype=dtype), np.empty(shape, dtype=np.uint8)
-        words, labels = np.empty(shape, dtype=db_words.dtype), np.empty(shape, dtype=np.uint64)
-        relevant = np.empty(shape, dtype=bool)
-        for start in starts[worker::workers]:
-            block = slice(start, start + RANK_BLOCK)
-            b = min(RANK_BLOCK, num_queries - start)
-            order = _rank_block(q_words[block], db_words, distances[:b], words[:b], counts[:b])
+        labels, relevant = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=bool)
+        for start, order, _ in _ranked_blocks(q_words, db_words, dtype, starts[worker::workers]):
+            b = order.shape[0]
             relevant[:b] = False  # label-intersection test, word by word
-            for q_word, db_word in zip(query_bits[block].T, db_bits.T):
+            for q_word, db_word in zip(query_bits[start : start + b].T, db_bits.T):
                 np.bitwise_and.outer(q_word, db_word, out=labels[:b])
-                relevant[:b] |= np.not_equal(labels[:b], 0, out=counts[:b].view(bool))
+                np.logical_or(relevant[:b], labels[:b], out=relevant[:b])
             for i, (row, row_order) in enumerate(zip(relevant[:b], order), start):
                 per_query[i] = _ranks_average_precision(np.flatnonzero(row[row_order[:cutoff]]))
 
@@ -262,9 +261,8 @@ def _ranks_average_precision(positions: np.ndarray) -> float:
     """AP from the 0-based ranks of the relevant items within the cutoff.
 
     The m-th relevant rank contributes precision m / (rank + 1); the sum runs
-    over the relevant ranks alone, so it can differ from
-    :func:`average_precision`, which sums a cutoff-length vector, by a few
-    ULPs. No relevant rank gives 0.
+    over the relevant ranks alone, and no relevant rank gives 0. The one AP
+    formula: :func:`average_precision` and mAP both return it.
     """
     found = positions.shape[0]
     if found == 0:

@@ -468,12 +468,22 @@ class TestQuery:
         assert stdout == ""
         assert stderr == "error: InvalidParameterError: --top must be positive, got 0\n"
 
+    def test_top_is_checked_before_the_code_files_are_read(self, workspace, capsys, tmp_path):
+        code, stdout, stderr = run([
+            "query", "--db", str(tmp_path / "missing.amfh"),
+            "--queries", str(workspace["query_codes"]), "--top", "0",
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: InvalidParameterError: --top must be positive, got 0\n"
+
     @pytest.mark.parametrize("top", [4, 15])
     def test_output_matches_per_query_ranking(self, tmp_path, capsys, top):
-        """Blocks of queries print what ranking each query alone prints, ties included."""
+        """Blocks of queries print what ranking each query alone prints, ties
+        included: three blocks, the last one partial, through one reused
+        distance array."""
         rng = np.random.default_rng(12)
         db = np.where(rng.random((3, 10)) < 0.5, 1, -1).astype(np.int8)  # 8 codes, 10 items: ties
-        queries = np.where(rng.random((3, RANK_BLOCK + 6)) < 0.5, 1, -1).astype(np.int8)
+        queries = np.where(rng.random((3, 2 * RANK_BLOCK + 3)) < 0.5, 1, -1).astype(np.int8)
         store_codes(db, tmp_path / "db.amfh")
         store_codes(queries, tmp_path / "queries.amfh")
         code, stdout, _ = run([
@@ -643,6 +653,24 @@ class TestEval:
         assert code == 1
         assert stderr == (
             f"error: CorruptFileError: {short}: payload shorter than its declared contents\n"
+        )
+
+    def test_label_ids_beyond_int64_are_one_error_line(self, workspace, capsys, tmp_path):
+        from fusehash import load_bundle
+
+        bundle = load_bundle(workspace["bundle"])
+        query_labels = tmp_path / "ql.txt"
+        db_labels = tmp_path / "dl.txt"
+        query_labels.write_text("9223372036854775808\n" * len(bundle.query_indices))
+        db_labels.write_text("0\n" * len(bundle.retrieval_indices))
+        code, stdout, stderr = run([
+            "eval", "--queries", str(workspace["query_codes"]),
+            "--db", str(workspace["db_codes"]),
+            "--query-labels", str(query_labels), "--db-labels", str(db_labels),
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            "error: LabelError: label ids must fit in int64, at most 9223372036854775807\n"
         )
 
     def test_needs_labels_or_bundle(self, workspace, capsys):

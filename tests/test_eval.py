@@ -209,13 +209,14 @@ class TestAveragePrecision:
         relevance=st.lists(st.booleans(), min_size=1, max_size=600),
         as_int=st.booleans(),
     )
-    def test_equals_cumsum_formula_bit_for_bit(self, relevance, as_int):
-        """Bool and 0/1 vectors, every cutoff: the same float, byte for byte."""
+    def test_within_64_eps_of_cumsum_formula(self, relevance, as_int):
+        """Bool and 0/1 vectors, every cutoff: summed over the relevant ranks
+        alone, AP stays within 64 eps relative of the cutoff-length sum."""
         rel = np.array(relevance, dtype=np.int64 if as_int else bool)
         for cutoff in range(1, rel.shape[0] + 1):
             got = average_precision(rel, cutoff)
             want = cumsum_average_precision(rel, cutoff)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert abs(got - want) <= 64 * np.finfo(np.float64).eps * want
 
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(InvalidParameterError):
@@ -396,6 +397,34 @@ class TestMeanAveragePrecision:
         with pytest.raises(InvalidParameterError):
             mean_average_precision(code, [{0}], code, [{0}], cutoff=2)
 
+    def test_rejects_label_ids_beyond_int64(self):
+        code = np.ones((8, 1), dtype=np.int8)
+        with pytest.raises(LabelError, match="int64, at most 9223372036854775807"):
+            mean_average_precision(code, [{2**63}], code, [{0}])
+        assert mean_average_precision(code, [{2**63 - 1}], code, [{2**63 - 1}]).map == 1.0
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((np.ones((6, 2), dtype=np.int8), [{0}], np.ones((8, 1)), [{0}]), ShapeError),
+            ((np.ones((8, 0), dtype=np.int8), [], np.ones((8, 1)), [{0}]), InvalidParameterError),
+            ((np.ones((8, 1), dtype=np.int8), [{0}, {1}], np.ones((8, 1)), [{0}]), LabelError),
+            ((np.ones((8, 1), dtype=np.int8), [{0}], np.ones((8, 1)), [{0}], 2), InvalidParameterError),
+            ((np.ones((8, 1), dtype=np.int8), [{-1}], np.ones((8, 1)), [{0}]), LabelError),
+            ((np.ones((8, 1), dtype=np.int8), [{2**64}], np.ones((8, 1)), [{0}]), LabelError),
+        ],
+        ids=["code-lengths", "empty", "label-counts", "cutoff", "negative-label", "huge-label"],
+    )
+    def test_rejected_arguments_pack_nothing(self, monkeypatch, args, error):
+        """Every argument check runs before either code set is packed."""
+
+        def refuse(codes):
+            raise AssertionError("pack_codes called before the arguments were checked")
+
+        monkeypatch.setattr(evaluation, "pack_codes", refuse)
+        with pytest.raises(error):
+            mean_average_precision(*args)
+
 
 class TestParallelScoring:
     """mAP blocks run on ``_worker_count()`` threads and take AP from the relevant ranks."""
@@ -434,23 +463,28 @@ class TestParallelScoring:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_rank_ap_is_within_ulps_of_average_precision(self):
-        """Summing over the relevant ranks alone moves AP by at most 2 ULPs
-        here (1.5 eps relative), against ``average_precision`` of the
-        ranked relevance vector, which sums all ``cutoff`` entries."""
-        rng = np.random.default_rng(31)
-        num_db, num_queries = 3000, 40
-        db = random_codes(rng, 16, num_db)
-        db_labels = [{int(x)} for x in rng.integers(0, 3, num_db)]
-        queries = random_codes(rng, 16, num_queries)
-        query_labels = [{int(x)} for x in rng.integers(0, 3, num_queries)]
-        for cutoff in (num_db, 1000):
+    @pytest.mark.parametrize(
+        "seed, code_length, num_db, num_labels, num_queries, short_cutoff",
+        [(31, 16, 3000, 3, 40, 1000), (5, 64, 5000, 16, 100, 777)],
+        ids=["16-bit", "64-bit"],
+    )
+    def test_rank_ap_equals_average_precision_bytes(
+        self, seed, code_length, num_db, num_labels, num_queries, short_cutoff
+    ):
+        """mAP's per-query AP is ``average_precision`` of the query's ranked
+        relevance vector, byte for byte, at the full cutoff and a shorter one."""
+        rng = np.random.default_rng(seed)
+        db = random_codes(rng, code_length, num_db)
+        db_labels = [{int(x)} for x in rng.integers(0, num_labels, num_db)]
+        queries = random_codes(rng, code_length, num_queries)
+        query_labels = [{int(x)} for x in rng.integers(0, num_labels, num_queries)]
+        for cutoff in (num_db, short_cutoff):
             report = mean_average_precision(queries, query_labels, db, db_labels, cutoff)
             for i in range(num_queries):
                 order, _ = naive_ranking(queries[:, i], db)
                 relevance = np.array([bool(db_labels[j] & query_labels[i]) for j in order])
                 want = average_precision(relevance, cutoff)
-                assert abs(report.per_query_ap[i] - want) <= 64 * np.finfo(np.float64).eps * want
+                assert np.float64(want).tobytes() == report.per_query_ap[i].tobytes()
 
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
         """Packing (and any AP call) runs on the caller; blocks run on the workers."""
