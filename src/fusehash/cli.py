@@ -159,6 +159,8 @@ def _encode_features(args, model):
 
 
 def cmd_encode(args) -> int:
+    if args.batch_size < 0:
+        raise InvalidParameterError(f"--batch-size must be 0 or positive, got {args.batch_size}")
     model = load_model(args.model)
     batches = _split_batches(_encode_features(args, model), args.batch_size or None)
     results = encode_stream(model, batches, mode=args.mode)
@@ -194,19 +196,19 @@ def _split_indices(bundle, name: str):
 
 
 def cmd_eval(args) -> int:
+    if not (args.bundle or (args.query_labels and args.db_labels)):
+        raise InvalidParameterError(
+            "eval needs either --bundle or both --query-labels and --db-labels"
+        )
     query_codes = load_codes(args.queries)
     db_codes = load_codes(args.db)
     if args.bundle:
         bundle = load_bundle(args.bundle)
         query_labels = bundle.labels_at(_split_indices(bundle, args.query_split))
         db_labels = bundle.labels_at(_split_indices(bundle, args.db_split))
-    elif args.query_labels and args.db_labels:
+    else:
         query_labels = load_labels(args.query_labels)
         db_labels = load_labels(args.db_labels)
-    else:
-        raise InvalidParameterError(
-            "eval needs either --bundle or both --query-labels and --db-labels"
-        )
     report = mean_average_precision(
         query_codes, query_labels, db_codes, db_labels, args.cutoff
     )

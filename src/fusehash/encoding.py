@@ -93,9 +93,9 @@ def _split_batches(features, batch_size: int | None = None) -> list[QueryBatch]:
 def _project_batch(model: TrainedModel, batch: QueryBatch):
     """Frozen projections of the batch per present modality.
 
-    Returns the present-modality indices plus a dict mapping each to its
-    ``W_m @ phi_m(X)`` scores; all weight handling happens downstream. The
-    batch's shape is checked before any modality is mapped.
+    Returns the present-modality indices plus their ``W_m @ phi_m(X)``
+    scores, one list in the same order; all weight handling happens
+    downstream. The batch's shape is checked before any modality is mapped.
     """
     if len(batch.features) != model.num_modalities:
         raise ShapeError(
@@ -107,41 +107,47 @@ def _project_batch(model: TrainedModel, batch: QueryBatch):
         raise EmptyBatchError("every modality is missing from the batch")
     if _sample_count(batch.features) == 0:
         raise EmptyBatchError("batch has zero samples")
-    projected = {
-        m: apply_kernel(batch.features[m], model.anchor_sets[m], model.projections[m])
+    projected = [
+        apply_kernel(batch.features[m], model.anchor_sets[m], model.projections[m])
         for m in present
-    }
+    ]
     return present, projected
 
 
-def _fuse_signs(present, projected, weights, fused, scratch) -> np.ndarray:
-    """The sign step of every encoder: ``sign(sum_m P_m / w_m)`` over the
-    present modalities in order.
+def _fuse_signs(projected, weights, fused, scratch) -> np.ndarray:
+    """The sign step of every encoder: ``sign(sum_i P_i / w_i)`` over the
+    present modalities' projections and weights, in modality order.
 
     The sum accumulates in ``fused`` and each later term is scaled into
     ``scratch``, two ``(r, n)`` float64 buffers that the caller reuses.
     """
-    first, *rest = present
-    np.divide(projected[first], weights[first], out=fused)
-    for m in rest:
-        np.divide(projected[m], weights[m], out=scratch)
+    np.divide(projected[0], weights[0], out=fused)
+    for i in range(1, len(projected)):
+        np.divide(projected[i], weights[i], out=scratch)
         fused += scratch
     return sign_to_pm1(fused)
 
 
-def _squared_residuals(present, projected, codes, scratch) -> np.ndarray:
-    """``||codes - P_m||_F^2`` per present modality, each residual formed in
-    the ``(r, n)`` float64 buffer ``scratch``.
+def _squared_residuals(projected, codes, scratch) -> np.ndarray:
+    """``||codes - P_i||_F^2`` per present modality's projection ``P_i``, each
+    residual formed in the ``(r, n)`` float64 buffer ``scratch``.
 
     The square is the dot product that ``np.linalg.norm`` takes, so
     ``np.sqrt`` of it is that norm bit for bit.
     """
-    squared = np.empty(len(present))
+    squared = np.empty(len(projected))
     resid = scratch.reshape(-1)
-    for i, m in enumerate(present):
-        np.subtract(codes, projected[m], out=scratch)
+    for i, proj in enumerate(projected):
+        np.subtract(codes, proj, out=scratch)
         squared[i] = resid.dot(resid)
     return squared
+
+
+def _widen(weights, present, num_modalities: int) -> np.ndarray:
+    """Present-modality ``weights`` as a length-M vector, zero where missing."""
+    full = np.zeros(num_modalities)
+    full[present] = weights
+    return full
 
 
 def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
@@ -158,29 +164,29 @@ def encode_adaptive(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     """
     present, projected = _project_batch(model, batch)
 
-    weights = np.zeros(model.num_modalities)
-    weights[present] = 1.0 / len(present)
-    fused, scratch = np.empty_like(projected[present[0]]), np.empty_like(projected[present[0]])
+    # The present modalities' weights as floats, widened to M on return: two
+    # short lists compare at less cost than two arrays.
+    weights = [1.0 / len(present)] * len(present)
+    fused, scratch = np.empty_like(projected[0]), np.empty_like(projected[0])
     codes = None
     trace: list[float] = []
     iterations = 0
     for _ in range(MAX_ITERS):
-        new_codes = _fuse_signs(present, projected, weights, fused, scratch)
+        new_codes = _fuse_signs(projected, weights, fused, scratch)
         iterations += 1
-        if codes is not None and np.array_equal(new_codes, codes):
+        if codes is not None and (new_codes == codes).all():
             break
         codes = new_codes
-        squared = _squared_residuals(present, projected, codes, scratch)
-        new_weights = np.zeros(model.num_modalities)
-        new_weights[present] = update_weights(np.sqrt(squared))
-        trace.append(float((squared / new_weights[present]).sum()))
-        if np.array_equal(new_weights, weights):
+        squared = _squared_residuals(projected, codes, scratch)
+        new_weights = update_weights(np.sqrt(squared))
+        trace.append(float((squared / new_weights).sum()))
+        if new_weights.tolist() == weights:
             break
-        weights = new_weights
+        weights = new_weights.tolist()
 
     return EncodeResult(
         codes=codes,
-        dynamic_weights=weights,
+        dynamic_weights=_widen(weights, present, model.num_modalities),
         iterations=iterations,
         objective_trace=trace,
     )
@@ -190,22 +196,20 @@ def encode_fixed(model: TrainedModel, batch: QueryBatch) -> EncodeResult:
     """Encode one batch with the training weights, renormalized over the
     modalities actually present: the fixed-weight hash function."""
     present, projected = _project_batch(model, batch)
-    if len(present) == model.num_modalities:
-        # The stored weights as they are: renormalizing them can change their
-        # last bit, and with it the codes of a database encoded before.
-        weights = np.asarray(model.train_weights, dtype=np.float64).copy()
-    else:
-        weights = np.zeros(model.num_modalities)
-        train = model.train_weights[present]
-        weights[present] = train / train.sum()
-    fused, scratch = np.empty_like(projected[present[0]]), np.empty_like(projected[present[0]])
-    codes = _fuse_signs(present, projected, weights, fused, scratch)
-    squared = _squared_residuals(present, projected, codes, scratch)
+    weights = np.asarray(model.train_weights, dtype=np.float64)[present]
+    if len(present) < model.num_modalities:
+        # With every modality present the stored weights stay as they are:
+        # renormalizing them can change their last bit, and with it the
+        # codes of a database encoded before.
+        weights = weights / weights.sum()
+    fused, scratch = np.empty_like(projected[0]), np.empty_like(projected[0])
+    codes = _fuse_signs(projected, weights, fused, scratch)
+    squared = _squared_residuals(projected, codes, scratch)
     return EncodeResult(
         codes=codes,
-        dynamic_weights=weights,
+        dynamic_weights=_widen(weights, present, model.num_modalities),
         iterations=1,
-        objective_trace=[float((squared / weights[present]).sum())],
+        objective_trace=[float((squared / weights).sum())],
     )
 
 

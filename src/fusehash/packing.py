@@ -52,9 +52,16 @@ def _code_matrix(packed: np.ndarray, code_length: int) -> CodeMatrix:
 
 
 def sign_to_pm1(values) -> np.ndarray:
-    """Elementwise sign with the deterministic tie rule sign(0) = +1."""
+    """Elementwise sign with the deterministic tie rule sign(0) = +1.
+
+    The comparison's boolean mask becomes the int8 result in place, so no
+    other array of the input's size is built.
+    """
     arr = np.asarray(values)
-    return np.where(arr >= 0, np.int8(1), np.int8(-1))
+    codes = np.asarray(arr >= 0).view(np.int8)  # a 0-d input compares to a scalar
+    codes += codes  # 2 or 0
+    codes -= 1
+    return codes
 
 
 def _require_pm1(arr: np.ndarray) -> None:

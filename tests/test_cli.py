@@ -321,6 +321,15 @@ class TestEncode:
         assert stderr == "error: EmptyBatchError: the features have zero samples\n"
         assert not out.exists()
 
+    def test_batch_size_is_checked_before_the_model_is_read(self, capsys, tmp_path):
+        code, stdout, stderr = run([
+            "encode", "--model", str(tmp_path / "missing.amfh"),
+            "--features", str(tmp_path / "missing-f0.amfh"), "-",
+            "--batch-size", "-3", "--out", str(tmp_path / "codes.amfh"),
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: InvalidParameterError: --batch-size must be 0 or positive, got -3\n"
+
     @pytest.mark.parametrize("batch_size", [[], ["--batch-size", "4"]], ids=["one-batch", "batches"])
     def test_feature_files_of_different_sample_counts(
         self, workspace, capsys, tmp_path, batch_size
@@ -671,6 +680,17 @@ class TestEval:
         assert (code, stdout) == (1, "")
         assert stderr == (
             "error: LabelError: label ids must fit in int64, at most 9223372036854775807\n"
+        )
+
+    def test_labels_are_checked_before_the_code_files_are_read(self, capsys, tmp_path):
+        code, stdout, stderr = run([
+            "eval", "--queries", str(tmp_path / "missing.amfh"),
+            "--db", str(tmp_path / "missing-db.amfh"),
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            "error: InvalidParameterError: "
+            "eval needs either --bundle or both --query-labels and --db-labels\n"
         )
 
     def test_needs_labels_or_bundle(self, workspace, capsys):

@@ -385,6 +385,44 @@ class TestEncodeAdaptive:
         assert mapped == []
 
 
+class TestTracedCalls:
+    """perfbench's ``kernel.apply_kernel.calls`` and ``training.update_weights.s``
+    count the calls made through the names that ``encoding`` binds."""
+
+    @pytest.mark.parametrize("missing", [None, 1], ids=["all-present", "one-missing"])
+    @pytest.mark.parametrize("encode", [encode_adaptive, encode_fixed])
+    def test_one_map_per_present_modality_and_one_weight_call_per_step(
+        self, monkeypatch, encode, missing
+    ):
+        rng = np.random.default_rng(311)  # 4 and 5 weight steps
+        dims = [3, 4, 5]
+        model = toy_model(rng, 16, dims, weights=[0.2, 0.3, 0.5])
+        batch = QueryBatch(features=[
+            None if m == missing else rng.standard_normal((d, 12)) * rng.uniform(0.1, 3.0)
+            for m, d in enumerate(dims)
+        ])
+        mapped, weight_calls = [], []
+
+        def spy_kernel(features, anchor_set, projection=None):
+            mapped.append(anchor_set.modality_index)
+            return apply_kernel(features, anchor_set, projection)
+
+        def spy_weights(residual_norms):
+            weight_calls.append(len(residual_norms))
+            return update_weights(residual_norms)
+
+        monkeypatch.setattr(encoding, "apply_kernel", spy_kernel)
+        monkeypatch.setattr(encoding, "update_weights", spy_weights)
+        result = encode(model, batch)
+        present = batch.present_modalities
+        assert mapped == present
+        if encode is encode_adaptive:
+            assert len(result.objective_trace) >= 2
+            assert weight_calls == [len(present)] * len(result.objective_trace)
+        else:
+            assert weight_calls == []
+
+
 class TestEncodeFixed:
     def test_full_modality_matches_training_hash_bit_for_bit(
         self, standard_bundle, trained_standard
