@@ -5,7 +5,8 @@ train on the train split, encode the retrieval split with training weights,
 encode queries either fixed or adaptively, and score mAP.
 
 ``CHECKS`` is the acceptance checklist: twelve seeded checks, each with its
-own independent oracle. ``fusehash bench`` runs it through
+own independent oracle. The naive oracles live here, beside the checks, and
+the tests import the same functions. ``fusehash bench`` runs it through
 ``run_benchmark``, which returns one ``BenchCheck`` per check, and
 ``tests/test_acceptance.py`` runs it under pytest. An ``AblationResult``
 reads its tracking fraction from its per-batch weights.
@@ -187,28 +188,53 @@ def _standard_bundle(seed: int, spread: float = 0.3) -> DatasetBundle:
     )
 
 
-def _bit_distance(a, b) -> int:
+# --- naive oracles, shared with the tests ---------------------------------
+# Plain numpy on int8 codes, label sets and float64 arrays: no packing, no
+# blocked ranking, no rank-based AP and no ridge solve.
+
+
+def naive_hamming(a, b) -> int:
     """Per-coordinate disagreement count, no packing involved."""
     return int(np.sum(np.asarray(a) != np.asarray(b)))
 
 
-def _pairwise_center_distances(table) -> list[int]:
-    centers = table.centers
-    return [
-        _bit_distance(centers[:, i], centers[:, j])
-        for i in range(centers.shape[1])
-        for j in range(i + 1, centers.shape[1])
-    ]
+def naive_ranking(query, db):
+    """(order, sorted distances): int8 mismatch counts, ties by database index."""
+    distances = (np.asarray(db, dtype=np.int8) != np.asarray(query, dtype=np.int8)[:, None]).sum(axis=0)
+    order = np.argsort(distances, kind="stable")
+    return order, distances[order]
 
 
-def _row_counts(table) -> tuple[int, int]:
-    """Bit rows distinct up to sign, and constant rows, counted row by row."""
-    rows = [tuple(row) for row in table.centers.tolist()]
+def naive_average_precision(relevance) -> float:
+    """Literal transcription of the AP definition; a cutoff slices ``relevance``."""
+    hits, total = 0, 0.0
+    for rank, relevant in enumerate(relevance, start=1):
+        if relevant:
+            hits += 1
+            total += hits / rank
+    return total / hits if hits else 0.0
+
+
+def naive_query_ap(query, query_labels, db, db_labels, cutoff=None) -> float:
+    """One query's AP within ``cutoff``: naive ranking, label-set intersection."""
+    order, _ = naive_ranking(query, db)
+    return naive_average_precision([bool(db_labels[j] & query_labels) for j in order][:cutoff])
+
+
+def pairwise_distances(centers) -> list[int]:
+    """All column-pair Hamming distances, by direct comparison."""
+    columns = np.asarray(centers).T
+    return [naive_hamming(a, b) for i, a in enumerate(columns) for b in columns[i + 1 :]]
+
+
+def row_counts(centers) -> tuple[int, int]:
+    """Bit rows distinct up to sign (one canonical sign per row), and constant rows."""
+    rows = [tuple(row) for row in np.asarray(centers).tolist()]
     distinct = {max(row, tuple(-v for v in row)) for row in rows}
     return len(distinct), sum(len(set(row)) == 1 for row in rows)
 
 
-def _simplex_grid_min(squares, step: float = 1e-3) -> float:
+def simplex_grid_min(squares, step: float = 1e-3) -> float:
     """Exhaustive simplex grid minimum of sum(squares / weights), M = 2 or 3."""
     squares = np.asarray(squares, dtype=np.float64)
     ticks = np.arange(step, 1.0, step)
@@ -225,13 +251,13 @@ def _simplex_grid_min(squares, step: float = 1e-3) -> float:
     return best
 
 
-def _naive_ap(relevance) -> float:
-    hits, total = 0, 0.0
-    for rank, relevant in enumerate(relevance, start=1):
-        if relevant:
-            hits += 1
-            total += hits / rank
-    return total / hits if hits else 0.0
+def ridge_objective(proj, feats, targets, weight: float, delta: float):
+    """||W K - T||^2 / w + delta ||W||^2 and its gradient, shaped like ``proj`` (flat or r x p)."""
+    matrix = np.reshape(proj, (targets.shape[0], feats.shape[0]))
+    resid = matrix @ feats - targets
+    value = np.sum(resid**2) / weight + delta * np.sum(matrix**2)
+    grad = (2.0 / weight) * resid @ feats.T + 2.0 * delta * matrix
+    return value, grad.reshape(np.shape(proj))
 
 
 def c01_hadamard_center_distances_exact(seed: int) -> str:
@@ -245,13 +271,13 @@ def c01_hadamard_center_distances_exact(seed: int) -> str:
             table = build_center_table(code_length, num_categories, seed=seed)
             where = f"r={code_length} C={num_categories}"
             _expect(table.is_exact, f"{where}: table is not exact")
-            distances = _pairwise_center_distances(table)
+            distances = pairwise_distances(table.centers)
             _expect(
                 distances == [code_length // 2] * len(distances),
                 f"{where}: pair distances {sorted(set(distances))}, want {code_length // 2}",
             )
             audit = audit_centers(table)
-            rows, want = (audit.distinct_rows, audit.constant_rows), _row_counts(table)
+            rows, want = (audit.distinct_rows, audit.constant_rows), row_counts(table.centers)
             _expect(rows == want, f"{where}: audit rows (distinct, constant) {rows}, want {want}")
     _expect(covered == 13, f"{covered} exact grid points, want 13")
     return "every pair of 13 exact tables at distance r/2, rows counted as the audit counts them"
@@ -266,7 +292,7 @@ def c02_redimensioned_center_distance_band(seed: int) -> str:
         table = build_center_table(code_length, num_categories, seed=table_seed)
         _expect(not table.is_exact, f"seed {table_seed}: table is exact")
         _expect(audit_centers(table).passed, f"seed {table_seed}: audit failed")
-        means.append(float(np.mean(_pairwise_center_distances(table))))
+        means.append(float(np.mean(pairwise_distances(table.centers))))
         _expect(
             low <= means[-1] <= high,
             f"seed {table_seed}: mean distance {means[-1]:.2f} outside [{low:.1f}, {high:.1f}]",
@@ -297,22 +323,13 @@ def c03_projection_solve_gradient_and_descent_oracle(seed: int) -> str:
             feats = rng.standard_normal((p, n))
             weight = float(rng.uniform(0.2, 0.8))
             closed = update_projection(targets, feats, weight=weight, delta=delta)
-
-            grad = (2.0 / weight) * (closed @ feats - targets) @ feats.T
-            grad += 2.0 * delta * closed
+            _, grad = ridge_objective(closed, feats, targets, weight, delta)
             worst_grad = max(worst_grad, float(np.max(np.abs(grad))) / target_norm)
             _expect(worst_grad < 1e-6, f"gradient ratio {worst_grad:.2e}, bound 1e-6")
-
-            def fun(flat):
-                proj = flat.reshape(r, p)
-                resid = proj @ feats - targets
-                value = np.sum(resid**2) / weight + delta * np.sum(proj**2)
-                g = (2.0 / weight) * resid @ feats.T + 2.0 * delta * proj
-                return value, g.ravel()
-
             numeric = minimize(
-                fun,
+                ridge_objective,
                 np.zeros(r * p),
+                args=(feats, targets, weight, delta),
                 jac=True,
                 method="L-BFGS-B",
                 options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 5000},
@@ -333,7 +350,7 @@ def c04_weight_solve_beats_simplex_grid(seed: int) -> str:
             norms = rng.uniform(0.1, 4.0, size=num_modalities)
             squares = norms**2
             closed = float(np.sum(squares / update_weights(norms)))
-            grid = _simplex_grid_min(squares)
+            grid = simplex_grid_min(squares)
             _expect(
                 closed <= grid,
                 f"M={num_modalities}: closed form {closed:.9f} above grid minimum {grid:.9f}",
@@ -349,7 +366,7 @@ def c05_weighted_sum_grid_matches_squared_norm_sum(seed: int) -> str:
         for _ in range(5):
             norms = rng.uniform(0.1, 4.0, size=num_modalities)
             target = float(np.sum(norms) ** 2)
-            worst = max(worst, abs(_simplex_grid_min(norms**2) - target) / target)
+            worst = max(worst, abs(simplex_grid_min(norms**2) - target) / target)
             _expect(worst <= 1e-3, f"M={num_modalities}: relative gap {worst:.2e}, bound 1e-3")
     return f"worst relative gap {worst:.2e} over M=2 and 3, bound 1e-3"
 
@@ -488,11 +505,7 @@ def c10_evaluator_exactness(seed: int) -> str:
         queries = sign_to_pm1(rng.standard_normal((12, 5)))
         query_labels = [{int(rng.integers(0, 3))} for _ in range(5)]
         report = mean_average_precision(queries, query_labels, db, db_labels)
-        aps = []
-        for q in range(5):
-            dists = [_bit_distance(queries[:, q], db[:, j]) for j in range(30)]
-            order = sorted(range(30), key=lambda j: (dists[j], j))
-            aps.append(_naive_ap([db_labels[j] & query_labels[q] for j in order]))
+        aps = [naive_query_ap(queries[:, q], query_labels[q], db, db_labels) for q in range(5)]
         gap = abs(report.map - float(np.mean(aps)))
         _expect(gap < 1e-12, f"mAP deviates from the naive oracle by {gap:.2e}")
 

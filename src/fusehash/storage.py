@@ -196,7 +196,11 @@ def load_codes(path) -> CodeMatrix:
     count = cur.u64()
     if code_length < 1:
         raise CorruptFileError(f"{path}: non-positive code length")
-    return _code_matrix(_packed_columns(cur, code_length, count), code_length)
+    packed = _packed_columns(cur, code_length, count)
+    try:
+        return _code_matrix(packed, code_length)
+    except OverflowError as exc:  # no codes, but more bits than numpy can count
+        raise CorruptFileError(f"{path}: code length {code_length} too large") from exc
 
 
 def store_centers(table: HashCenterTable, path) -> None:

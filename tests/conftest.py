@@ -1,39 +1,25 @@
-"""Shared fixtures: one well-separated bundle and one harder bundle.
+"""Shared fixtures: the acceptance checks' standard bundle at seed 11, a
+harder variant, and a model trained on the first.
 
-Both are session-scoped; tests must not mutate them.
+All are session-scoped; tests must not mutate them.
 """
 
 import pytest
 
-from fusehash import SynthSpec, TrainConfig, generate_synthetic, train_on_bundle
+from fusehash import TrainConfig, train_on_bundle
+from fusehash.bench import _standard_bundle
 
 
 @pytest.fixture(scope="session")
 def standard_bundle():
-    """4 classes, 100 samples each, two modalities, cleanly separable."""
-    return generate_synthetic(
-        SynthSpec(
-            num_classes=4,
-            samples_per_class=100,
-            modality_dims=(32, 16),
-            cluster_spread=0.3,
-            seed=11,
-        )
-    )
+    """4 classes, 100 samples each, two modalities (32 and 16 dims), cleanly separable."""
+    return _standard_bundle(11)
 
 
 @pytest.fixture(scope="session")
 def hard_bundle():
     """Same layout with overlapping clusters; retrieval is not a free 1.0 here."""
-    return generate_synthetic(
-        SynthSpec(
-            num_classes=4,
-            samples_per_class=100,
-            modality_dims=(32, 16),
-            cluster_spread=1.0,
-            seed=11,
-        )
-    )
+    return _standard_bundle(11, spread=1.0)
 
 
 @pytest.fixture(scope="session")

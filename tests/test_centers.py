@@ -17,6 +17,7 @@ from fusehash import (
 )
 from fusehash import bench
 from fusehash import centers as centers_module
+from fusehash.bench import pairwise_distances, row_counts
 from fusehash.centers import (
     LSH_DISTANCE_FACTOR,
     MAX_LSH_RETRIES,
@@ -25,24 +26,6 @@ from fusehash.centers import (
     count_classes,
 )
 from fusehash.exceptions import CenterSeparationError, InvalidParameterError, LabelError
-
-
-def pairwise_distances(centers):
-    """All column-pair Hamming distances, by direct comparison."""
-    _, k = centers.shape
-    return [
-        int((centers[:, i] != centers[:, j]).sum())
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-
-
-def row_counts(centers):
-    """Bit rows distinct up to sign, by one canonical sign per row, and
-    constant rows, by the set of their values."""
-    rows = [tuple(row) for row in np.asarray(centers, dtype=np.int64).tolist()]
-    canonical = {max(row, tuple(-v for v in row)) for row in rows}
-    return len(canonical), sum(len(set(row)) == 1 for row in rows)
 
 
 def reference_audit(centers, code_length, is_exact):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from fusehash import bench, cli, load_centers, load_codes, load_model, store_codes
+from fusehash.bench import naive_ranking
 from fusehash.cli import main
 from fusehash.evaluation import RANK_BLOCK
 
@@ -502,10 +503,9 @@ class TestQuery:
         assert code == 0
         expected = []
         for i in range(queries.shape[1]):
-            distances = (db != queries[:, i : i + 1]).sum(axis=0)
-            order = sorted(range(10), key=lambda j: (distances[j], j))
-            for rank, index in enumerate(order[:top], 1):
-                expected.append(f"query={i} rank={rank} index={index} distance={distances[index]}\n")
+            order, distances = naive_ranking(queries[:, i], db)
+            for rank, (index, distance) in enumerate(zip(order[:top], distances), 1):
+                expected.append(f"query={i} rank={rank} index={index} distance={distance}\n")
         assert stdout == "".join(expected)
 
 
@@ -964,6 +964,16 @@ class TestErrorHandling:
         lines = [l for l in stderr.splitlines() if l]
         assert len(lines) == 1
         assert lines[0].startswith("error: CorruptFileError:")
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_code_length_beyond_numpy_reports_single_error_line(self, workspace, capsys, tmp_path, command):
+        big = tmp_path / "big.amfh"  # checksum-valid, no codes, 2^63 bits
+        body = b"AMFH" + struct.pack("<BHQQ", 2, 1, 2**63, 0)
+        big.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        labels = {"query": [], "eval": ["--bundle", str(workspace["bundle"])]}[command]
+        code, stdout, stderr = run([command, "--db", str(big), "--queries", str(big), *labels], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: CorruptFileError: {big}: code length {2**63} too large\n"
 
     def test_model_with_nan_weights_is_rejected(self, workspace, capsys, tmp_path):
         """A checksum-valid model whose train weights are NaN would encode

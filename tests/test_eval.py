@@ -19,6 +19,7 @@ from fusehash import (
     sign_to_pm1,
     store_codes,
 )
+from fusehash.bench import naive_average_precision, naive_hamming, naive_query_ap, naive_ranking
 from fusehash.evaluation import (
     RANK_BLOCK,
     EvalReport,
@@ -29,30 +30,8 @@ from fusehash.evaluation import (
 from fusehash.exceptions import InvalidParameterError, LabelError, ShapeError
 
 
-def naive_hamming(a, b):
-    return int(np.sum(np.asarray(a) != np.asarray(b)))
-
-
-def naive_ranking(query, db):
-    """Reference ranking: int8 mismatch counts, then a stable argsort."""
-    distances = (np.asarray(db, dtype=np.int8) != np.asarray(query, dtype=np.int8)[:, None]).sum(axis=0)
-    order = np.argsort(distances, kind="stable")
-    return order, distances[order]
-
-
 def random_codes(rng, code_length, count):
     return np.where(rng.random((code_length, count)) < 0.5, 1, -1).astype(np.int8)
-
-
-def naive_average_precision(relevance, cutoff):
-    """Literal transcription of the AP definition."""
-    hits = 0
-    total = 0.0
-    for m in range(1, cutoff + 1):
-        if relevance[m - 1]:
-            hits += 1
-            total += hits / m
-    return total / hits if hits else 0.0
 
 
 class TestHammingRank:
@@ -201,7 +180,7 @@ class TestAveragePrecision:
             relevance = rng.integers(0, 2, size=n)
             cutoff = int(rng.integers(1, n + 1))
             got = average_precision(relevance, cutoff)
-            want = naive_average_precision(relevance, cutoff)
+            want = naive_average_precision(relevance[:cutoff])
             assert abs(got - want) < 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -253,12 +232,7 @@ class TestMeanAveragePrecision:
         query_labels = [{int(rng.integers(0, 3))} for _ in range(5)]
         cutoff = 20
         report = mean_average_precision(queries, query_labels, db, db_labels, cutoff=cutoff)
-        aps = []
-        for q in range(5):
-            dists = [naive_hamming(queries[:, q], db[:, j]) for j in range(30)]
-            order = sorted(range(30), key=lambda j: (dists[j], j))
-            relevance = [int(bool(db_labels[j] & query_labels[q])) for j in order]
-            aps.append(naive_average_precision(relevance, cutoff))
+        aps = [naive_query_ap(queries[:, q], query_labels[q], db, db_labels, cutoff) for q in range(5)]
         assert abs(report.map - np.mean(aps)) < 1e-12
         np.testing.assert_allclose(report.per_query_ap, aps, atol=1e-12)
 
@@ -318,9 +292,8 @@ class TestMeanAveragePrecision:
         for i in range(num_queries):
             alone = mean_average_precision(queries[:, i : i + 1], query_labels[i : i + 1], db, db_labels)
             assert report.per_query_ap[i] == alone.per_query_ap[0]
-            order, _ = naive_ranking(queries[:, i], db)
-            relevance = [bool(db_labels[j] & query_labels[i]) for j in order]
-            assert abs(report.per_query_ap[i] - naive_average_precision(relevance, 30)) < 1e-12
+            want = naive_query_ap(queries[:, i], query_labels[i], db, db_labels, 30)
+            assert abs(report.per_query_ap[i] - want) < 1e-12
 
     def test_large_label_ids_are_compacted(self):
         """Ids {10**9, 7} score as {1, 0} and allocate nothing sized by the id."""
@@ -362,11 +335,10 @@ class TestMeanAveragePrecision:
         query_labels[1] = {129}
         for cutoff in (None, 25):
             report = mean_average_precision(queries, query_labels, db, db_labels, cutoff)
-            aps = []
-            for q in range(num_queries):
-                order, _ = naive_ranking(queries[:, q], db)
-                relevance = [bool(db_labels[j] & query_labels[q]) for j in order]
-                aps.append(naive_average_precision(relevance, cutoff or num_db))
+            aps = [
+                naive_query_ap(queries[:, q], query_labels[q], db, db_labels, cutoff or num_db)
+                for q in range(num_queries)
+            ]
             np.testing.assert_allclose(report.per_query_ap, aps, rtol=0, atol=1e-12)
 
     def test_label_bitsets_bound_memory(self):

@@ -8,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusehash import load_codes, pack_codes, sign_to_pm1, store_codes, unpack_codes
+from fusehash.bench import naive_hamming
 from fusehash.exceptions import InvalidParameterError, ShapeError
 from fusehash.packing import CodeMatrix, _words, packed_hamming
-
-
-def naive_hamming(a, b):
-    """Reference distance: count disagreeing sign entries one by one."""
-    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 class TestSignToPm1:

@@ -422,6 +422,14 @@ class TestFrameRejections:
         with pytest.raises(CorruptFileError, match="non-positive code length"):
             load_codes(path)
 
+    @pytest.mark.parametrize("code_length", [2**63, 2**64 - 1], ids=["2^63", "2^64-1"])
+    def test_code_length_beyond_numpy(self, tmp_path, code_length):
+        """A file of no codes may declare more bits than numpy can count."""
+        path = tmp_path / "codes.amfh"
+        path.write_bytes(framed(storage.KIND_CODES, struct.pack("<QQ", code_length, 0)))
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: code length {code_length} too"):
+            load_codes(path)
+
     @pytest.mark.parametrize("dims", [(0, 2), (8, 0)], ids=["no-bits", "no-categories"])
     def test_non_positive_center_dimensions(self, tmp_path, dims):
         path = tmp_path / "centers.amfh"

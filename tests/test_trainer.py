@@ -22,6 +22,7 @@ from fusehash import (
     sign_to_pm1,
 )
 from fusehash import kernel, training
+from fusehash.bench import ridge_objective, simplex_grid_min
 from fusehash.centers import assign_target_codes
 from fusehash.exceptions import (
     DegenerateWeightError,
@@ -169,7 +170,7 @@ class TestUpdateProjection:
             weight = float(rng.uniform(0.1, 0.9))
             delta = float(rng.uniform(1e-4, 1e-1))
             proj = update_projection(targets, feats, weight=weight, delta=delta)
-            grad = (2.0 / weight) * (proj @ feats - targets) @ feats.T + 2.0 * delta * proj
+            _, grad = ridge_objective(proj, feats, targets, weight, delta)
             scale = np.linalg.norm(targets.astype(float))
             assert np.linalg.norm(grad) < 1e-8 * scale
 
@@ -180,17 +181,10 @@ class TestUpdateProjection:
         targets = sign_to_pm1(rng.standard_normal((r, n)))
         feats = rng.standard_normal((p, n))
         weight, delta = 0.4, 0.02
-
-        def fun(flat):
-            proj = flat.reshape(r, p)
-            resid = proj @ feats - targets
-            value = np.sum(resid**2) / weight + delta * np.sum(proj**2)
-            grad = (2.0 / weight) * resid @ feats.T + 2.0 * delta * proj
-            return value, grad.ravel()
-
-        result = minimize(fun, np.zeros(r * p), jac=True, method="L-BFGS-B")
+        args = (feats, targets, weight, delta)
+        result = minimize(ridge_objective, np.zeros(r * p), args=args, jac=True, method="L-BFGS-B")
         closed = update_projection(targets, feats, weight=weight, delta=delta)
-        assert fun(closed.ravel())[0] <= result.fun + 1e-9
+        assert ridge_objective(closed, *args)[0] <= result.fun + 1e-9
         np.testing.assert_allclose(closed, result.x.reshape(r, p), atol=1e-5)
 
     def test_ridge_shrinks_solution(self):
@@ -252,16 +246,7 @@ class TestUpdateWeights:
         squares = norms**2
         best = update_weights(norms)
         best_value = np.sum(squares / best)
-        step = 1e-3
-        ticks = np.arange(step, 1.0, step)
-        for a in ticks:
-            bs = np.arange(step, 1.0 - a, step)
-            cs = 1.0 - a - bs
-            keep = cs > step / 2
-            if not np.any(keep):
-                continue
-            values = squares[0] / a + squares[1] / bs[keep] + squares[2] / cs[keep]
-            assert best_value <= values.min() + 1e-9
+        assert best_value <= simplex_grid_min(squares) + 1e-9
         np.testing.assert_allclose(best, norms / norms.sum(), rtol=1e-12)
 
     def test_optimal_value_is_squared_norm_sum(self):
